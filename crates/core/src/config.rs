@@ -222,8 +222,11 @@ pub struct PipelineConfig {
     /// Heartbeat failure-detection threshold, milliseconds: a rank whose
     /// liveness beacon is not observed within this window is declared dead
     /// and failover engages. `None` (the default) reuses
-    /// [`PipelineConfig::deadline_ms`]. A `slow_rank` delay strictly below
-    /// this threshold must never trigger failover (property-tested).
+    /// [`PipelineConfig::deadline_ms`] for render and output heartbeats,
+    /// and half of it within input groups, whose detection plus re-sliced
+    /// read must fit inside the renderers' delivery deadline. A
+    /// `slow_rank` delay strictly below this threshold must never trigger
+    /// failover (property-tested).
     pub heartbeat_timeout_ms: Option<u64>,
 }
 

@@ -24,7 +24,7 @@ use quakeviz_mesh::{
     Aabb, HexMesh, NodeField, NodeId, Octree, OctreeBlock, Partition, WorkloadModel,
 };
 use quakeviz_render::{
-    front_to_back_order, Camera, Fragment, LightingParams, RenderParams, RgbaImage,
+    front_to_back_order, Camera, Fragment, GatherPlans, LightingParams, RenderParams, RgbaImage,
     TransferFunction,
 };
 use quakeviz_rt::{Comm, World};
@@ -255,6 +255,7 @@ fn insitu_render_main(comm: &Comm, render_comm: &Comm, s: &InsituShared) -> Vec<
         opacity_unit: Some(s.cfg.extent.max_component() / 64.0),
         ..Default::default()
     };
+    let mut gathers = GatherPlans::default();
     let mut timings = Vec::with_capacity(s.cfg.frames);
     for t in 0..s.cfg.frames {
         let mut timing = RenderFrameTiming::default();
@@ -273,6 +274,7 @@ fn insitu_render_main(comm: &Comm, render_comm: &Comm, s: &InsituShared) -> Vec<
         for &bid in my_blocks {
             let block = &s.blocks[bid as usize];
             if let Some(f) = quakeviz_render::render_block(
+                &mut gathers,
                 &s.mesh,
                 &field,
                 block,

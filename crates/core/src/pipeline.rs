@@ -28,7 +28,8 @@ use quakeviz_mesh::{
 };
 use quakeviz_parfs::ReadError;
 use quakeviz_render::{
-    front_to_back_order, Camera, Fragment, LightingParams, RenderParams, RgbaImage, TemporalEnhance,
+    front_to_back_order, Camera, Fragment, GatherPlans, LightingParams, RenderParams, RgbaImage,
+    TemporalEnhance,
 };
 use quakeviz_rt::obs::{self, Obs, Phase, TraceData};
 use quakeviz_rt::wire::{self, Codec, WireClassStats, WireLedger, WireSpec};
@@ -813,11 +814,21 @@ impl Shared {
         Duration::from_millis(self.cfg.deadline_ms)
     }
 
-    /// The liveness-detection deadline: how long heartbeat waits (input
-    /// groups, render peers, output supervision) block before declaring a
-    /// silent rank dead. Defaults to the delivery deadline.
+    /// The liveness-detection deadline: how long heartbeat waits (render
+    /// peers, output supervision) block before declaring a silent rank
+    /// dead. Defaults to the delivery deadline.
     fn hb_deadline(&self) -> Duration {
         Duration::from_millis(self.cfg.heartbeat_timeout_ms.unwrap_or(self.cfg.deadline_ms))
+    }
+
+    /// The input-group detection deadline. Survivors start waiting on a
+    /// silent peer right after sending step t − 1; a renderer starts its
+    /// delivery deadline for step t only after it received and rendered
+    /// t − 1, so no earlier. Detection plus the re-sliced read must fit
+    /// inside that deadline however fast the renderer is, so by default
+    /// input groups detect within half of it.
+    fn input_hb_deadline(&self) -> Duration {
+        self.cfg.heartbeat_timeout_ms.map_or(self.deadline() / 2, Duration::from_millis)
     }
 
     /// The render failover epoch in force at step `t`, if any. Windowed:
@@ -2375,7 +2386,7 @@ fn heartbeat_and_slice(
         // validated timeline guarantees the peers are alive)
         if joining {
             let () = comm.recv(r, TAG_HB + t as u64);
-        } else if comm.try_recv_for::<()>(r, TAG_HB + t as u64, s.hb_deadline()).is_none() {
+        } else if comm.try_recv_for::<()>(r, TAG_HB + t as u64, s.input_hb_deadline()).is_none() {
             dead.push(r);
             if let Some(p) = &s.faults {
                 p.note_failover(r, t);
@@ -2800,6 +2811,7 @@ fn render_main(
         ..Default::default()
     };
     let norm = (0.0f32, s.vmag_max);
+    let mut gathers = GatherPlans::default();
     let mut timings = Vec::with_capacity(s.steps);
 
     // render-group failover state: heartbeats run only when the plan
@@ -3165,6 +3177,7 @@ fn render_main(
                 s.level
             };
             if let Some(f) = quakeviz_render::render_block(
+                &mut gathers,
                 &s.mesh,
                 &field,
                 block,

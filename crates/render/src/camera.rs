@@ -16,6 +16,10 @@ pub struct Camera {
     forward: Vec3,
     right: Vec3,
     true_up: Vec3,
+    // cached image-plane half extents at unit depth: tan(fov_y/2), and
+    // that times the aspect ratio
+    half_h: f64,
+    half_w: f64,
 }
 
 impl Camera {
@@ -31,7 +35,9 @@ impl Camera {
         let right = forward.cross(up).normalized();
         let true_up = right.cross(forward);
         assert!(right.length() > 0.5, "up vector parallel to view direction");
-        Camera { eye, target, up, fov_y, width, height, forward, right, true_up }
+        let half_h = (fov_y * 0.5).tan();
+        let half_w = half_h * (width as f64 / height as f64);
+        Camera { eye, target, up, fov_y, width, height, forward, right, true_up, half_h, half_w }
     }
 
     /// A default viewpoint for a dataset of the given bounds: slightly
@@ -58,9 +64,7 @@ impl Camera {
     /// World-space ray through pixel centre `(px, py)`:
     /// returns `(origin, unit direction)`.
     pub fn ray(&self, px: u32, py: u32) -> (Vec3, Vec3) {
-        let aspect = self.width as f64 / self.height as f64;
-        let half_h = (self.fov_y * 0.5).tan();
-        let half_w = half_h * aspect;
+        let (half_w, half_h) = (self.half_w, self.half_h);
         // NDC in [-1, 1] with y pointing up the image
         let nx = ((px as f64 + 0.5) / self.width as f64) * 2.0 - 1.0;
         let ny = 1.0 - ((py as f64 + 0.5) / self.height as f64) * 2.0;
@@ -77,11 +81,8 @@ impl Camera {
         if depth <= 1e-9 {
             return None;
         }
-        let aspect = self.width as f64 / self.height as f64;
-        let half_h = (self.fov_y * 0.5).tan();
-        let half_w = half_h * aspect;
-        let x = v.dot(self.right) / depth / half_w; // [-1, 1]
-        let y = v.dot(self.true_up) / depth / half_h;
+        let x = v.dot(self.right) / depth / self.half_w; // [-1, 1]
+        let y = v.dot(self.true_up) / depth / self.half_h;
         let px = (x + 1.0) * 0.5 * self.width as f64;
         let py = (1.0 - y) * 0.5 * self.height as f64;
         Some((px, py, depth))

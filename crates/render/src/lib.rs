@@ -12,12 +12,15 @@
 //!   evaluate adaptive rendering and temporal enhancement.
 //! * [`camera`] — a look-at perspective camera with point projection
 //!   (fragment screen rects, compositing schedules are view-dependent).
-//! * [`transfer`] — piecewise-linear RGBA transfer functions.
-//! * [`brick`] — regular resampling of one octree block at a chosen level;
-//!   bricks are what the ray caster marches.
-//! * [`raycast`] — front-to-back ray casting with early termination and
-//!   optional central-difference gradient Blinn-Phong lighting (§6,
-//!   Figure 10/11).
+//! * [`transfer`] — piecewise-linear RGBA transfer functions and their
+//!   memoized opacity-corrected lookup tables.
+//! * [`brick`] — regular resampling of one octree block at a chosen level
+//!   through a per-(block, level) gather plan; bricks are what the ray
+//!   caster marches, in grid-index space, skipping transparent
+//!   macrocells.
+//! * [`raycast`] — front-to-back ray casting with early termination,
+//!   empty-space skipping and optional Blinn-Phong lighting from a
+//!   per-brick central-difference gradient lattice (§6, Figure 10/11).
 //! * [`enhance`] — the temporal-domain enhancement filter (§4.2, Figure 4).
 //! * [`adaptive`] — octree level selection from image resolution, data
 //!   resolution and a cells-per-pixel budget (§4.1, Figure 3).
@@ -40,7 +43,8 @@ pub use camera::Camera;
 pub use enhance::TemporalEnhance;
 pub use image::{Rgba, RgbaImage, ScreenRect};
 pub use raycast::{
-    composite_fragments, render_block, render_brick, Fragment, LightingParams, RenderParams,
+    composite_fragments, render_block, render_brick, Fragment, GatherPlans, LightingParams,
+    RenderParams,
 };
 pub use transfer::TransferFunction;
 pub use visibility::front_to_back_order;

@@ -83,6 +83,22 @@ if [[ -n "${QUAKEVIZ_BENCH_SMOKE:-}" ]]; then
     exit 0
 fi
 
+# Benchmark self-checks: perfbench/ is a Cargo package of its own (its
+# own [workspace], path deps on crates/*), so `cargo test --workspace`
+# never builds it. Its unit tests (steady-window arithmetic, oracle and
+# thumbnail checks, seed determinism, result-line shape) and the
+# BENCHMARK.json contract test run here.
+run_perfbench_checks() {
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    python3 perfbench/test_contract.py
+}
+if [[ -n "${QUAKEVIZ_PERFBENCH_CHECKS:-}" ]]; then
+    echo "==> perfbench self-checks cell"
+    run_perfbench_checks
+    echo "CI OK (perfbench self-checks)"
+    exit 0
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -166,6 +182,8 @@ if [[ -z "${QUAKEVIZ_FAULTS:-}" && -z "${QUAKEVIZ_TRACE+x}" ]]; then
     done
     echo "==> bench smoke"
     run_bench_smoke
+    echo "==> perfbench self-checks"
+    run_perfbench_checks
 fi
 
 echo "CI OK"
