@@ -336,15 +336,24 @@ fn phase_stat(report: &PipelineReport, phase: Phase) -> Option<Stat> {
     Stat::from_seconds(&durs)
 }
 
+/// The settings of one pipeline baseline run beyond its I/O shape.
+#[derive(Default)]
+struct RunKnobs {
+    faults: Option<FaultSpec>,
+    /// Elastic control-plane tick period.
+    elastic: Option<usize>,
+    deadline_ms: Option<u64>,
+    prefetch: bool,
+}
+
 fn pipeline_run(
     name: &str,
     quick: bool,
     io: IoStrategy,
     renderers: usize,
-    faults: Option<FaultSpec>,
-    elastic: Option<usize>,
-    deadline_ms: Option<u64>,
+    knobs: RunKnobs,
 ) -> BaselineRun {
+    let RunKnobs { faults, elastic, deadline_ms, prefetch } = knobs;
     let (steps, size, io_delay) = if quick { (4usize, 64u32, 5.0) } else { (8, 128, 25.0) };
     let clean = faults.is_none();
     let io_desc = match io {
@@ -364,6 +373,9 @@ fn pipeline_run(
     if let Some(ms) = deadline_ms {
         config.push(("deadline_ms", ms.to_string()));
     }
+    if prefetch {
+        config.push(("prefetch", "on".into()));
+    }
     let mut run = BaselineRun::new(name, clean, &config);
 
     // capture deterministic kernel work counts alongside the wall times
@@ -376,6 +388,7 @@ fn pipeline_run(
         .keep_frames(false)
         .io_delay_scale(io_delay)
         .profile(true)
+        .prefetch(prefetch)
         .max_steps(steps);
     if let Some(spec) = faults {
         builder = builder.faults(spec);
@@ -444,51 +457,50 @@ fn pipeline_run(
 /// configurations, one deliberately faulted 1DIP run (tagged
 /// `clean: false` so compare refuses to mix it with clean data), an
 /// elastic run with the control plane ticking (its `control.*` counters
-/// record how often the controller found anything to change), and a
-/// kill+rejoin run whose `interframe_ms` puts a regression gate on the
-/// rejoin overhead — detection, TAG_JOIN handshake, and catch-up all
-/// land between frames, so a rejoin that stops being cheap shows up as
-/// a gated timing jump, not just a counter drift.
+/// record how often the controller found anything to change), the same
+/// elastic run reading ahead (packing and routing under the epoch clock
+/// while reads overlap rendering), and a kill+rejoin run whose
+/// `interframe_ms` puts a regression gate on the rejoin overhead —
+/// detection, TAG_JOIN handshake, and catch-up all land between frames,
+/// so a rejoin that stops being cheap shows up as a gated timing jump,
+/// not just a counter drift.
 pub fn run_pipeline_area(quick: bool) -> BenchFile {
+    let onedip = IoStrategy::OneDip { input_procs: 2 };
     let runs = vec![
-        pipeline_run(
-            "1dip_r3_i2",
-            quick,
-            IoStrategy::OneDip { input_procs: 2 },
-            3,
-            None,
-            None,
-            None,
-        ),
+        pipeline_run("1dip_r3_i2", quick, onedip, 3, RunKnobs::default()),
         pipeline_run(
             "2dip_g2x2_r3",
             quick,
             IoStrategy::TwoDip { groups: 2, per_group: 2 },
             3,
-            None,
-            None,
-            None,
+            RunKnobs::default(),
         ),
         pipeline_run(
             "1dip_faulted_s11",
             quick,
-            IoStrategy::OneDip { input_procs: 2 },
+            onedip,
             3,
-            Some(
-                FaultSpec::parse("seed=11,read_transient=0.2")
-                    .expect("baseline fault spec must parse"),
-            ),
-            None,
-            None,
+            RunKnobs {
+                faults: Some(
+                    FaultSpec::parse("seed=11,read_transient=0.2")
+                        .expect("baseline fault spec must parse"),
+                ),
+                ..RunKnobs::default()
+            },
         ),
         pipeline_run(
             "1dip_r3_elastic_t2",
             quick,
-            IoStrategy::OneDip { input_procs: 2 },
+            onedip,
             3,
-            None,
-            Some(2),
-            None,
+            RunKnobs { elastic: Some(2), ..RunKnobs::default() },
+        ),
+        pipeline_run(
+            "1dip_r3_elastic_prefetch_t2",
+            quick,
+            onedip,
+            3,
+            RunKnobs { elastic: Some(2), prefetch: true, ..RunKnobs::default() },
         ),
         // render rank 3 dies at step 1 and rejoins at step 3, inside the
         // quick mode's 4-step window; the bounded delivery deadline is
@@ -496,14 +508,16 @@ pub fn run_pipeline_area(quick: bool) -> BenchFile {
         pipeline_run(
             "1dip_rejoin_s1",
             quick,
-            IoStrategy::OneDip { input_procs: 2 },
+            onedip,
             3,
-            Some(
-                FaultSpec::parse("seed=1,fail_rank=3@1,recover_rank=3@3")
-                    .expect("baseline rejoin spec must parse"),
-            ),
-            None,
-            Some(400),
+            RunKnobs {
+                faults: Some(
+                    FaultSpec::parse("seed=1,fail_rank=3@1,recover_rank=3@3")
+                        .expect("baseline rejoin spec must parse"),
+                ),
+                deadline_ms: Some(400),
+                ..RunKnobs::default()
+            },
         ),
     ];
     BenchFile { area: "pipeline".into(), quick, runs }
@@ -824,24 +838,17 @@ fn wire_run(name: &str, quick: bool, spec: &str) -> BaselineRun {
         run.counters.insert(format!("wire.ratio_x100.{class}"), (w.ratio() * 100.0).round() as u64);
         run.counters.insert(format!("wire.encode_us.{class}"), w.encode_ns / 1_000);
         run.counters.insert(format!("wire.decode_us.{class}"), w.decode_ns / 1_000);
-        if w.keyframe_pieces + w.delta_pieces > 0 {
-            run.counters.insert(format!("wire.keyframes.{class}"), w.keyframe_pieces);
-            run.counters.insert(format!("wire.deltas.{class}"), w.delta_pieces);
-        }
     }
     run
 }
 
-/// Wire-codec baselines: every codec with and without temporal deltas,
-/// all on the same quantized workload so the `bytes.wire.*` columns are
+/// Wire-codec baselines: every codec, all on the same quantized workload so the `bytes.wire.*` columns are
 /// directly comparable across runs.
 pub fn run_wire_area(quick: bool) -> BenchFile {
     let runs = vec![
         wire_run("raw", quick, "raw"),
         wire_run("rle", quick, "rle"),
-        wire_run("rle_delta_k4", quick, "rle,delta,keyframe=4"),
         wire_run("shuffle", quick, "shuffle"),
-        wire_run("shuffle_delta_k4", quick, "shuffle,delta,keyframe=4"),
     ];
     BenchFile { area: "wire".into(), quick, runs }
 }

@@ -50,10 +50,10 @@
 //! disk lives in memory, so a checkpoint cannot outlive the process).
 //!
 //! `--codec SPEC` selects the wire codec (same grammar as
-//! `QUAKEVIZ_CODEC`, e.g. `rle`, `shuffle,delta,keyframe=4`, or
+//! `QUAKEVIZ_CODEC`, e.g. `rle`, `shuffle`, or
 //! `block_data=shuffle,lic_image=rle`); the report then adds a wire
 //! compression section — per-class raw vs wire bytes, the compression
-//! ratio, codec CPU cost, and the keyframe/delta piece mix — and the
+//! ratio and codec CPU cost — and the
 //! model table annotates `Ts` with the measured block-data ratio.
 //!
 //! `--elastic K` arms the closed-loop control plane (DESIGN.md "Control
@@ -391,20 +391,18 @@ fn main() {
     if !report.wire.is_empty() {
         println!("\nwire compression ({}):", report.wire_spec);
         println!(
-            "  {:<14} {:>12} {:>12} {:>7} {:>8} {:>8} {:>9}",
-            "class", "raw_bytes", "wire_bytes", "ratio", "enc_ms", "dec_ms", "kf/delta"
+            "  {:<14} {:>12} {:>12} {:>7} {:>8} {:>8}",
+            "class", "raw_bytes", "wire_bytes", "ratio", "enc_ms", "dec_ms"
         );
         for w in &report.wire {
             println!(
-                "  {:<14} {:>12} {:>12} {:>6.2}x {:>8.3} {:>8.3} {:>4}/{}",
+                "  {:<14} {:>12} {:>12} {:>6.2}x {:>8.3} {:>8.3}",
                 w.class.as_str(),
                 w.raw_bytes,
                 w.wire_bytes,
                 w.ratio(),
                 w.encode_ns as f64 / 1e6,
-                w.decode_ns as f64 / 1e6,
-                w.keyframe_pieces,
-                w.delta_pieces
+                w.decode_ns as f64 / 1e6
             );
         }
     }

@@ -26,13 +26,12 @@
 //! are keyed by step, so a resumed run replays the exact post-resume
 //! schedule of an uninterrupted one.
 //!
-//! The temporal-delta wire layer needs no cursor either: a resumed run
-//! starts with empty delta state on both sender and receiver, which the
-//! piece envelope resolves to ordinary keyframes (a state miss always
-//! forces one). The wire spec is deliberately excluded from the config
-//! fingerprint — checkpoints are interchangeable across codec
-//! configurations, and `tests/delta_stream.rs` proves the spliced
-//! kill-and-resume sequence bit-identical to an uninterrupted raw run.
+//! The wire layer needs no cursor either: every piece is encoded and
+//! decoded on its own, with no state carried across steps. The wire spec
+//! is deliberately excluded from the config fingerprint — checkpoints are
+//! interchangeable across codec configurations, and
+//! `tests/delta_stream.rs` proves the spliced kill-and-resume sequence
+//! under each codec bit-identical to an uninterrupted raw run.
 
 use std::fmt;
 

@@ -130,13 +130,14 @@ pub struct PipelineConfig {
     pub transfer: TransferFunction,
     /// Render only the first `max_steps` steps of the dataset, if set.
     pub max_steps: Option<usize>,
-    /// Overlapped prefetch runtime: each input rank runs read+preprocess
-    /// +pack on a prefetch worker thread feeding a bounded two-slot queue,
-    /// while the rank thread synthesizes LIC and issues non-blocking block
-    /// sends with at most two steps' sends in flight (backpressure via
-    /// [`quakeviz_rt::SendHandle`]). Frames are bit-identical to the
-    /// synchronous path, which remains the reference oracle when this is
-    /// off (the default).
+    /// Read ahead: each input rank runs read + preprocess on a worker
+    /// thread feeding a bounded two-slot queue, while the rank thread
+    /// keeps the epoch clock, synthesizes LIC, packs under the epoch in
+    /// force and issues non-blocking block sends with at most two steps'
+    /// sends in flight (backpressure via [`quakeviz_rt::SendHandle`]). It
+    /// works under the elastic control plane: a step whose fetch plan was
+    /// reshaped is prepared inline. Frames are bit-identical to the
+    /// read-ahead-free loop (the default, and the reference oracle).
     pub prefetch: bool,
     /// Detailed observability: record runtime auto spans (blocking
     /// receives, barriers, MPI-IO reads, compositing rounds) in addition
@@ -182,7 +183,7 @@ pub struct PipelineConfig {
     /// The manifest's config fingerprint must match the current run; the
     /// resumed frame sequence is bit-identical to an uninterrupted run.
     pub resume: bool,
-    /// Wire codecs + temporal block deltas for the payload-bearing sends
+    /// Wire codecs for the payload-bearing sends
     /// (block distribution, LIC and volume images). `None` falls back to
     /// the `QUAKEVIZ_CODEC` environment variable (unset/empty/`0` = plain
     /// raw wire). Decoded payloads are bit-identical to the raw path, so
@@ -375,7 +376,7 @@ impl PipelineBuilder {
         self
     }
 
-    /// Overlap read+preprocess with sends (see
+    /// Read and preprocess ahead of packing and sending (see
     /// [`PipelineConfig::prefetch`]).
     pub fn prefetch(mut self, on: bool) -> Self {
         self.config.prefetch = on;
@@ -441,23 +442,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Select `codec` for every payload class, keeping any delta settings
-    /// already configured.
+    /// Select `codec` for every payload class.
     pub fn codec(mut self, codec: Codec) -> Self {
-        let spec = self.config.wire.get_or_insert_with(WireSpec::default);
-        spec.codecs = [codec; quakeviz_rt::TagClass::COUNT];
-        self
-    }
-
-    /// Toggle temporal block deltas (see [`WireSpec::delta`]).
-    pub fn delta(mut self, on: bool) -> Self {
-        self.config.wire.get_or_insert_with(WireSpec::default).delta = on;
-        self
-    }
-
-    /// Keyframe period for delta streams (see [`WireSpec::keyframe_every`]).
-    pub fn keyframe_every(mut self, k: u32) -> Self {
-        self.config.wire.get_or_insert_with(WireSpec::default).keyframe_every = k;
+        self.config.wire = Some(WireSpec::all(codec));
         self
     }
 

@@ -324,9 +324,8 @@ impl Controller {
     /// window's measured rates — ranks without a measurement (the joiner,
     /// which slept or never ran) count as rate 1. Unlike
     /// [`Controller::decide`] this always returns a plan: the commit
-    /// itself is the join barrier (delta streams reset to keyframes,
-    /// caches flush), even when the assignment happens to match the
-    /// committed one.
+    /// itself is the join barrier (caches flush), even when the assignment
+    /// happens to match the committed one.
     pub fn admit_plan(
         &self,
         m: &WindowMeasurement,

@@ -191,23 +191,18 @@ pub fn wire_checksum(bid: u32, offset: u32, kind: u8, bytes: impl Iterator<Item 
     h
 }
 
-/// `base_step` sentinel for a self-contained keyframe piece.
-const KEYFRAME: u32 = u32::MAX;
-
 /// The checksum of a piece's *encoded* wire representation — header fields
 /// plus the codec body exactly as transmitted, so verification happens
 /// before any decode work touches the bytes.
 fn piece_checksum(p: &WirePiece) -> u64 {
-    let header =
-        [p.coded as u8].into_iter().chain(p.base_step.to_le_bytes()).chain(p.raw_len.to_le_bytes());
+    let header = [p.coded as u8].into_iter().chain(p.raw_len.to_le_bytes());
     wire_checksum(p.bid, p.offset, p.kind, header.chain(p.body.iter().copied()))
 }
 
 /// One piece of a per-renderer data message: the values of `[offset,
-/// offset + len)` of block `bid`'s id list, codec-encoded (and optionally
-/// XOR-delta'd against the sender's previous step) and guarded by a wire
-/// checksum over the encoded bytes, computed at pack time and verified on
-/// receive *before* decode.
+/// offset + len)` of block `bid`'s id list, codec-encoded and guarded by a
+/// wire checksum over the encoded bytes, computed at pack time and
+/// verified on receive *before* decode.
 #[derive(Debug, Clone)]
 struct WirePiece {
     bid: u32,
@@ -217,10 +212,7 @@ struct WirePiece {
     /// `body` is codec-compressed (vs stored raw verbatim after the
     /// no-expansion fallback).
     coded: bool,
-    /// The sender-owned step whose raw payload `body` XORs against, or
-    /// [`KEYFRAME`] for a self-contained piece.
-    base_step: u32,
-    /// Raw (decoded, un-delta'd) byte length.
+    /// Raw (decoded) byte length.
     raw_len: u32,
     checksum: u64,
     body: Vec<u8>,
@@ -229,9 +221,9 @@ struct WirePiece {
 impl WirePiece {
     /// Declared node-value count, derived from envelope fields so a piece can
     /// be *accounted for* in degraded-frame bookkeeping even when its body is
-    /// corrupt or its delta base is gone. (A missing marker stores its count
-    /// in the 4-byte body; a corrupted one misreports, which only shifts the
-    /// step toward its delivery deadline — same as a dropped message.)
+    /// corrupt. (A missing marker stores its count in the 4-byte body; a
+    /// corrupted one misreports, which only shifts the step toward its
+    /// delivery deadline — same as a dropped message.)
     fn value_len(&self) -> usize {
         match self.kind {
             0 => self.raw_len as usize / 4,
@@ -244,69 +236,25 @@ impl WirePiece {
 /// One per-renderer data message: a batch of block pieces.
 type BlockBatch = Vec<WirePiece>;
 
-/// Temporal-delta state, one side each: senders key by `(dst, bid,
-/// offset)` (a piece re-routed by failover misses and forces a keyframe),
-/// receivers by `(src, bid, offset)`. The value is the step and raw bytes
-/// of the last successfully packed/decoded payload — missing markers,
-/// rejected pieces, and sends the lossy transport reports dropped update
-/// neither side, which is what keeps faulted delta runs bit-identical to
-/// raw ones.
-type DeltaMap = HashMap<(usize, u32, u32), (u32, Vec<u8>)>;
-
-/// Pack one payload into its wire piece: XOR-delta against the sender's
-/// previous step when allowed (delta mode on, not a keyframe boundary,
-/// same-length base available for this destination), then codec-encode,
-/// then checksum the encoded bytes.
-fn pack_piece(
-    spec: &WireSpec,
-    codec: Codec,
-    key: (usize, u32, u32), // (dst rank, block id, offset) — the delta-state lane
-    payload: &Payload,
-    t: u32,
-    state: &mut DeltaMap,
-    advance: bool,
-) -> WirePiece {
-    let (_, bid, offset) = key;
+/// Pack one payload into its wire piece: codec-encode, then checksum the
+/// encoded bytes.
+fn pack_piece(codec: Codec, bid: u32, offset: u32, payload: &Payload) -> WirePiece {
     let kind = payload.kind();
     let raw = payload.raw_bytes();
     let raw_len = raw.len() as u32;
-    let (base_step, input) = if kind == 2 || !spec.delta {
-        (KEYFRAME, raw)
-    } else {
-        let base = match state.get(&key) {
-            Some((ps, prev))
-                if !t.is_multiple_of(spec.keyframe_every) && prev.len() == raw.len() =>
-            {
-                let mut d = raw.clone();
-                wire::xor_in_place(&mut d, prev);
-                Some((*ps, d))
-            }
-            _ => None,
-        };
-        // a send the transport already reported lost (`advance = false`)
-        // must not advance the sender's idea of what the receiver holds
-        if advance {
-            state.insert(key, (t, raw.clone()));
-        }
-        match base {
-            Some((ps, d)) => (ps, d),
-            None => (KEYFRAME, raw),
-        }
-    };
     // missing markers are 4 bytes of fault bookkeeping: never codec-encoded,
     // so the receiver classifies them from the envelope alone and the
     // degradation flags stay codec-invariant
     let encoded = if kind == 2 {
-        wire::Encoded { coded: false, body: input }
+        wire::Encoded { coded: false, body: raw }
     } else {
-        codec.encode(input, payload.stride())
+        codec.encode(raw, payload.stride())
     };
     let mut piece = WirePiece {
         bid,
         offset,
         kind,
         coded: encoded.coded,
-        base_step,
         raw_len,
         checksum: 0,
         body: encoded.body,
@@ -315,53 +263,33 @@ fn pack_piece(
     piece
 }
 
-/// Outcome of verifying + decoding one received piece.
+/// Outcome of decoding one checksum-verified piece.
 enum Ingest {
     Data(Payload),
     Missing(u32),
-    /// Undecodable: malformed body, or a delta whose base this receiver
-    /// does not hold (dropped/rejected earlier, or state lost to
-    /// failover before the sender's next keyframe).
+    /// Undecodable: malformed body or marker, or raw bytes inconsistent
+    /// with the declared kind.
     Reject(&'static str),
 }
 
-/// Decode a checksum-verified piece: codec-decode the body, resolve the
-/// XOR delta against this receiver's stored base, and advance the
-/// receiver's delta state. Missing markers and rejects leave the state
-/// untouched, mirroring the pack side.
-fn decode_piece(
-    codec: Codec,
-    piece: &WirePiece,
-    src: usize,
-    t: u32,
-    state: &mut DeltaMap,
-) -> Ingest {
+/// Decode a checksum-verified piece: codec-decode the body and rebuild
+/// the payload it declares.
+fn decode_piece(codec: Codec, piece: &WirePiece) -> Ingest {
     if piece.kind == 2 {
         return match Payload::from_raw(2, &piece.body) {
-            Some(Payload::Missing(n)) if !piece.coded && piece.base_step == KEYFRAME => {
-                Ingest::Missing(n)
-            }
+            Some(Payload::Missing(n)) if !piece.coded => Ingest::Missing(n),
             _ => Ingest::Reject("malformed missing marker"),
         };
     }
     let stride = if piece.kind == 0 { 4 } else { 1 };
-    let mut raw = match codec.decode(piece.coded, &piece.body, piece.raw_len as usize, stride) {
+    let raw = match codec.decode(piece.coded, &piece.body, piece.raw_len as usize, stride) {
         Ok(r) => r,
         Err(_) => return Ingest::Reject("undecodable body"),
     };
-    if piece.base_step != KEYFRAME {
-        match state.get(&(src, piece.bid, piece.offset)) {
-            Some((ps, prev)) if *ps == piece.base_step && prev.len() == raw.len() => {
-                wire::xor_in_place(&mut raw, prev)
-            }
-            _ => return Ingest::Reject("delta base unavailable"),
-        }
+    match Payload::from_raw(piece.kind, &raw) {
+        Some(payload) => Ingest::Data(payload),
+        None => Ingest::Reject("raw payload inconsistent with kind"),
     }
-    let Some(payload) = Payload::from_raw(piece.kind, &raw) else {
-        return Ingest::Reject("raw payload inconsistent with kind");
-    };
-    state.insert((src, piece.bid, piece.offset), (t, raw));
-    Ingest::Data(payload)
 }
 
 /// Verify and decode one piece on the clean (no-fault-plan) path. No
@@ -369,17 +297,11 @@ fn decode_piece(
 /// enforce that with a panic: a corrupt checksum, a stray missing
 /// marker, or an undecodable body comes back as `Err` for the caller to
 /// degrade — the block renders coarser and the run completes.
-fn ingest_clean(
-    codec: Codec,
-    piece: &WirePiece,
-    src: usize,
-    t: u32,
-    state: &mut DeltaMap,
-) -> Result<Payload, &'static str> {
+fn ingest_clean(codec: Codec, piece: &WirePiece) -> Result<Payload, &'static str> {
     if piece_checksum(piece) != piece.checksum {
         return Err("checksum mismatch");
     }
-    match decode_piece(codec, piece, src, t, state) {
+    match decode_piece(codec, piece) {
         Ingest::Data(p) => Ok(p),
         Ingest::Missing(_) => Err("missing marker without a fault plan"),
         Ingest::Reject(why) => Err(why),
@@ -388,9 +310,7 @@ fn ingest_clean(
 
 /// An image payload on the wire: `Plain` keeps the zero-copy path for
 /// [`Codec::Raw`]; `Coded` carries codec-compressed little-endian pixel
-/// bytes (stride 16 = one RGBA pixel). Images are never delta'd — each
-/// frame's LIC/volume image stands alone, so failover and resume need no
-/// image-side keyframe rules.
+/// bytes (stride 16 = one RGBA pixel).
 #[derive(Debug, Clone)]
 enum WireImage {
     Plain(RgbaImage),
@@ -485,8 +405,8 @@ pub struct InputStepTiming {
     pub preprocess_s: f64,
     pub lic_s: f64,
     pub send_s: f64,
-    /// Backpressure wait on the step's in-flight sends (prefetch runtime
-    /// only; the synchronous path never waits).
+    /// Backpressure wait on the step's in-flight sends (read-ahead only;
+    /// at depth 0 the input loop never waits).
     pub send_wait_s: f64,
 }
 
@@ -587,8 +507,7 @@ pub struct PipelineReport {
     /// Echo of the configuration's processor counts.
     pub renderers: usize,
     pub input_procs: usize,
-    /// Whether the overlapped prefetch runtime was used
-    /// ([`PipelineConfig::prefetch`]).
+    /// Whether the input loop read ahead ([`PipelineConfig::prefetch`]).
     pub prefetch: bool,
     /// The octree level actually rendered at.
     pub level: u8,
@@ -625,14 +544,13 @@ pub struct PipelineReport {
     /// The step the run resumed from, when
     /// [`PipelineConfig::resume`] restored a checkpoint.
     pub resumed_from: Option<usize>,
-    /// Per-class raw-vs-wire accounting: raw payload bytes before
-    /// codec+delta, wire bytes actually sent, encode/decode time, and the
-    /// keyframe/delta piece split. Only classes with payload traffic
-    /// appear; `wire_bytes ≤ raw_bytes` holds per class by the codecs'
+    /// Per-class raw-vs-wire accounting: raw payload bytes before the
+    /// codec, wire bytes actually sent, and encode/decode time. Only
+    /// classes with payload traffic appear; `wire_bytes ≤ raw_bytes` holds per class by the codecs'
     /// no-expansion guarantee.
     pub wire: Vec<WireClassStats>,
     /// Human description of the run's resolved wire configuration
-    /// (`"raw"` when no codec or delta is configured).
+    /// (`"raw"` when no codec is configured).
     pub wire_spec: String,
     /// Elastic control-plane plans committed during the run, in epoch
     /// order — including plans replayed from a resumed checkpoint, so a
@@ -691,7 +609,7 @@ impl PipelineReport {
     }
 
     /// Mean per-step backpressure wait on the input processors (exposed,
-    /// un-hidden send time of the prefetch runtime; 0 when synchronous).
+    /// un-hidden send time under read-ahead; 0 without it).
     pub fn mean_send_wait_seconds(&self) -> f64 {
         let n = self.input_steps.len().max(1);
         self.input_steps.iter().map(|s| s.send_wait_s).sum::<f64>() / n as f64
@@ -742,7 +660,7 @@ struct Shared {
     /// Fingerprint of every config field that shapes the frame stream;
     /// stamped into checkpoints and verified on resume.
     fingerprint: u64,
-    /// Resolved wire configuration: per-class codecs + temporal deltas.
+    /// Resolved wire configuration: a codec per payload class.
     wire: WireSpec,
     /// Raw-vs-wire byte and encode/decode-time accounting, shared by
     /// every rank thread.
@@ -1340,12 +1258,6 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         if ctl.every == 0 {
             return Err("elastic control tick period must be at least one step".into());
         }
-        if config.prefetch {
-            return Err("elastic control plane cannot run with the prefetch runtime: \
-                 prefetch workers pack batches ahead of the epoch clock, so a committed \
-                 plan could not take effect at its step boundary"
-                .into());
-        }
         if ctl.reshape {
             let survivable = matches!(config.io, IoStrategy::TwoDip { per_group, .. } if per_group >= 2)
                 && matches!(config.read, ReadStrategy::IndependentContiguous);
@@ -1664,8 +1576,7 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
             session.metrics().counter(&format!("traffic.{}.bytes", class.as_str())).add(bytes);
         }
     }
-    // raw-vs-wire ledger per payload class: what the codec+delta layer
-    // saved (wire ≤ raw always; equal on the plain raw wire)
+    // raw-vs-wire ledger per payload class: what the codec layer saved (wire ≤ raw always; equal on the plain raw wire)
     for w in shared.ledger.snapshot() {
         let m = session.metrics();
         m.counter(&format!("traffic.{}.raw_bytes", w.class.as_str())).add(w.raw_bytes);
@@ -1907,7 +1818,7 @@ fn phase_seconds_by_step(events: &[obs::SpanEvent], phase: Phase, step: usize) -
 // ---------------------------------------------------------------------
 
 /// Which steps an input rank owns and what it fetches per step — computed
-/// once, shared by the synchronous loop and the prefetch worker.
+/// once, shared by the input loop and its read-ahead worker.
 struct InputPlan {
     my_steps: Vec<usize>,
     member: usize,
@@ -2064,8 +1975,8 @@ fn magnitudes(dense: &[[f32; 3]]) -> Vec<f32> {
 }
 
 /// Read + preprocess one step into the enhanced magnitude field. Shared
-/// verbatim by the synchronous loop and the prefetch worker, so the two
-/// runtimes compute bit-identical values. `None` means the step's data
+/// verbatim by the input loop and its read-ahead worker, so both compute
+/// bit-identical values. `None` means the step's data
 /// could not be read (retries exhausted): the caller ships explicit
 /// *missing* pieces instead of values and the frame degrades downstream.
 fn prepare_step(
@@ -2113,13 +2024,11 @@ fn prepare_step(
 /// message is a batch of checksummed [`WirePiece`]s — whole blocks
 /// (offset 0) for solo readers, slice intersections for 2DIP group
 /// members. `mag = None` (the read failed for good) packs *missing*
-/// pieces of the right lengths instead of values. Each piece goes through
-/// the temporal-delta + codec layer of [`pack_piece`] against `delta`,
-/// the sender's per-destination state. When the fault plan scripts wire
-/// corruption for a message, one encoded-body bit is flipped *after* the
-/// checksum was computed, so the receiver's verify catches it — for
-/// every codec, since the checksum covers the encoded bytes. Returns
-/// `(destination rank, batch, wire bytes)`.
+/// pieces of the right lengths instead of values. When the fault plan
+/// scripts wire corruption for a message, one encoded-body bit is flipped
+/// *after* the checksum was computed, so the receiver's verify catches it
+/// — for every codec, since the checksum covers the encoded bytes.
+/// Returns `(destination rank, batch, wire bytes)`.
 fn pack_batches(
     s: &Shared,
     elastic: Option<&EpochState>,
@@ -2127,7 +2036,6 @@ fn pack_batches(
     mag: Option<&[f32]>,
     me: usize,
     t: usize,
-    delta: &mut DeltaMap,
 ) -> Vec<(usize, BlockBatch, u64)> {
     // route over the render ranks alive at step `t` and the partition of
     // the epoch in force — after a scripted render-rank death the dead
@@ -2162,16 +2070,9 @@ fn pack_batches(
     let codec = s.wire.codec_for(TagClass::BlockData);
     let mut out = Vec::with_capacity(routes.len());
     for &(dst, blocks) in &routes {
-        // the lossy transport completes a dropped send locally, so the
-        // sender knows this batch will never arrive: pack it without
-        // advancing delta state, and the next real send deltas against
-        // the last bytes the receiver actually holds — degradation stays
-        // codec-invariant under message loss
-        let delivered =
-            s.faults.as_ref().is_none_or(|p| !p.send_will_drop(me, dst, TAG_DATA + t as u64));
         let t0 = Instant::now();
         let mut enc_sp = obs::auto_span(Phase::Encode, t as u32);
-        let (mut raw_bytes, mut keyframes, mut deltas) = (0u64, 0u64, 0u64);
+        let mut raw_bytes = 0u64;
         let mut batch: BlockBatch = Vec::new();
         for &bid in blocks {
             let ids = &s.ids_per_block[bid as usize];
@@ -2190,21 +2091,8 @@ fn pack_batches(
                     }
                     None => Payload::Missing((b - a) as u32),
                 };
-                let piece = pack_piece(
-                    &s.wire,
-                    codec,
-                    (dst, bid, a as u32),
-                    &payload,
-                    t as u32,
-                    delta,
-                    delivered,
-                );
+                let piece = pack_piece(codec, bid, a as u32, &payload);
                 raw_bytes += piece.raw_len as u64;
-                if piece.base_step == KEYFRAME {
-                    keyframes += 1;
-                } else {
-                    deltas += 1;
-                }
                 batch.push(piece);
             }
         }
@@ -2216,15 +2104,14 @@ fn pack_batches(
         let bytes: u64 = batch.iter().map(|p| p.body.len() as u64).sum();
         enc_sp.add_bytes(bytes);
         s.ledger.record_send(TagClass::BlockData, raw_bytes, bytes, t0.elapsed().as_nanos() as u64);
-        s.ledger.record_pieces(TagClass::BlockData, keyframes, deltas);
         out.push((dst, batch, bytes));
     }
     out
 }
 
 /// Flip one deterministically-chosen bit of a batch's encoded wire bodies
-/// (the wire corruption model). Works uniformly for every codec and for
-/// delta pieces, because the checksum guards the encoded bytes.
+/// (the wire corruption model). Works uniformly for every codec, because
+/// the checksum guards the encoded bytes.
 fn corrupt_one_bit(batch: &mut BlockBatch, seed: u64) {
     let total: usize = batch.iter().map(|p| p.body.len() * 8).sum();
     if total == 0 {
@@ -2284,31 +2171,6 @@ fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
     lic_sp.add_bytes(bytes);
     drop(lic_sp);
     comm.send_with_size(output_rank, TAG_LIC + t as u64, (msg, missing), bytes);
-}
-
-fn input_main(
-    comm: &Comm,
-    group_comm: Option<&Comm>,
-    session: &Arc<Obs>,
-    s: &Shared,
-) -> Vec<InputStepTiming> {
-    let plan = input_plan(comm.rank(), s);
-    let mut timings = if s.cfg.prefetch {
-        input_main_prefetch(comm, session, s, &plan)
-    } else {
-        input_main_sync(comm, group_comm, s, &plan)
-    };
-
-    // derive the per-step timings from the span stream (which includes
-    // the prefetch worker's spans — it records onto the same rank track)
-    let events = obs::current_events();
-    for (timing, &t) in timings.iter_mut().zip(&plan.my_steps) {
-        timing.preprocess_s = phase_seconds_by_step(&events, Phase::Preprocess, t);
-        timing.lic_s = phase_seconds_by_step(&events, Phase::Lic, t);
-        timing.send_s = phase_seconds_by_step(&events, Phase::Send, t);
-        timing.send_wait_s = phase_seconds_by_step(&events, Phase::SendWait, t);
-    }
-    timings
 }
 
 /// This rank's 2DIP group as world ranks, when a scripted *input*-rank
@@ -2410,13 +2272,10 @@ fn heartbeat_and_slice(
 /// step, so before working step `t` it must catch up on every tick the
 /// controller clocked in between — and drain the remainder after its
 /// last owned step, so the controller's ack collection never starves.
-/// A committed plan clears the sender-side delta state: the next send on
-/// every (possibly reconfigured) route is a natural keyframe.
 fn input_ticks(
     comm: &Comm,
     s: &Shared,
     elastic: &mut Option<EpochState>,
-    delta: &mut DeltaMap,
     cursor: &mut usize,
     upto: usize,
 ) {
@@ -2438,7 +2297,6 @@ fn input_ticks(
             if committed {
                 let e = elastic.as_mut().expect("control tick without elastic state");
                 e.apply(&plan);
-                delta.clear();
                 // a committed rebalance reshapes fetch plans from this
                 // step on: conservatively drop cached blocks and any
                 // not-yet-served frames at or past the commit step
@@ -2450,22 +2308,82 @@ fn input_ticks(
     }
 }
 
-/// The reference runtime: read, preprocess, LIC, pack and send each step
-/// serially.
-fn input_main_sync(
+/// Slots in the read-ahead hand-off queue and, equally, the cap on how
+/// many steps' block sends may be in flight before the rank thread waits.
+const PREFETCH_SLOTS: usize = 2;
+
+/// One read-ahead hand-off: step, prepared field and read stats, exactly
+/// as [`prepare_step`] returns them.
+type Prepared = (usize, Option<Vec<f32>>, ReadStats);
+
+/// The rank thread's end of the read-ahead queue.
+enum ReadAhead {
+    /// Depth 0: every step is prepared inline.
+    Off,
+    /// A live worker hands over one prepared step per owned step, in order.
+    Live(std::sync::mpsc::Receiver<Prepared>),
+    /// The worker died (scripted `fail_prefetch`, or a contained panic):
+    /// every remaining step is prepared inline and counted as a fallback.
+    Dead,
+}
+
+impl ReadAhead {
+    /// Take step `t`'s hand-off from a live worker.
+    fn take(&mut self, me: usize, t: usize) -> Option<(Option<Vec<f32>>, ReadStats)> {
+        let ReadAhead::Live(rx) = self else {
+            return None;
+        };
+        match rx.recv() {
+            Ok((tp, mag, stats)) => {
+                debug_assert_eq!(tp, t, "the read-ahead worker must deliver steps in order");
+                Some((mag, stats))
+            }
+            Err(_) => {
+                eprintln!(
+                    "quakeviz: rank {me}: prefetch worker died before step {t}; \
+                     preparing the remaining steps inline"
+                );
+                *self = ReadAhead::Dead;
+                None
+            }
+        }
+    }
+}
+
+/// The input processor's loop. Per owned step: stop or rejoin as the
+/// fault plan scripts, catch up on the epoch clock, exchange 2DIP
+/// heartbeats and re-slice, read + preprocess, synthesize LIC on the lead
+/// member, then pack and route the block batches under the epoch in force
+/// *at send time*.
+///
+/// The read-ahead depth is [`PREFETCH_SLOTS`] with
+/// [`PipelineConfig::prefetch`], else 0 (paper §4: input I/O hides behind
+/// rendering). At depth > 0 a worker thread runs read + preprocess of the
+/// static fetch plan for the owned steps ahead of the rank thread and
+/// hands them over a bounded queue. Those are epoch-independent field
+/// values; the rank thread uses a hand-off only when the step's fetch plan
+/// is the static one (no failover slice, no elastic reshape) and prepares
+/// the step inline otherwise. Block sends stay in flight as handles, and
+/// once [`PREFETCH_SLOTS`] steps are in flight the rank thread waits on
+/// the oldest. An isend completes only when the renderer *matches* it, so
+/// that wait throttles the input rank to the render group's consumption
+/// rate. Deadlock-free: a step's sends are issued before any wait on an
+/// older step, and renderers consume steps in monotone order. At depth 0
+/// the handles are dropped (fire-and-forget) and nothing ever waits.
+fn input_main(
     comm: &Comm,
     group_comm: Option<&Comm>,
+    session: &Arc<Obs>,
     s: &Shared,
-    plan: &InputPlan,
 ) -> Vec<InputStepTiming> {
-    let enhance = TemporalEnhance::default();
     let me = comm.rank();
+    let plan = input_plan(me, s);
+    let depth = if s.cfg.prefetch { PREFETCH_SLOTS } else { 0 };
+    let enhance = TemporalEnhance::default();
     let group = failover_group(me, s);
     let mut dead: Vec<usize> = Vec::new();
-    let mut delta = DeltaMap::new();
     // elastic epoch state: start from epoch 0 (or a resumed run's
-    // replayed history — the delta map is fresh anyway, so the replay is
-    // pure state application) and advance at every committed tick
+    // replayed history) and advance at every committed tick
     let mut elastic = s.elastic.clone();
     if let Some(e) = elastic.as_mut() {
         for p in &s.resume_plans {
@@ -2478,218 +2396,161 @@ fn input_main_sync(
         IoStrategy::OneDip { .. } => 1,
     };
     let mut timings = Vec::with_capacity(plan.my_steps.len());
-    let mut was_dead = false;
-    for &t in &plan.my_steps {
-        // a scripted failure: this rank stops cold, mid-pipeline, with no
-        // farewell — survivors must *detect* it via heartbeat timeouts. A
-        // death *window* (a scripted recovery later) keeps the thread
-        // parked in-loop, skipping every owned step, so the zip alignment
-        // with the group survives the outage.
-        if s.faults.as_ref().is_some_and(|p| p.rank_failed(me, t)) {
-            if s.faults.as_ref().is_some_and(|p| p.recovers_later(me, t)) {
-                was_dead = true;
+    std::thread::scope(|scope| {
+        let mut ahead = ReadAhead::Off;
+        if depth > 0 {
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Prepared>(depth);
+            let track = obs::current_attachment();
+            let (plan, enhance) = (&plan, &enhance);
+            // `move` hands the worker its own tx: if it dies — a panic
+            // (contained below) or the scripted `fail_prefetch` kill — tx
+            // drops and the rank thread's recv fails instead of blocking
+            scope.spawn(move || {
+                // record the worker's Read/Preprocess spans on this rank's
+                // own track
+                let _g = track.as_ref().map(|h| h.attach());
+                // a worker panic must not abort the rank through the scope:
+                // contain it here and let the closed channel carry the news
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    for &t in &plan.my_steps {
+                        if s.faults.as_ref().is_some_and(|p| p.prefetch_failed(t)) {
+                            return; // scripted worker death: go silent mid-run
+                        }
+                        // collective reads are rejected with prefetch at
+                        // config validation, so the worker never needs the
+                        // group communicator
+                        let (mag, stats) = prepare_step(None, s, &plan.fetch, enhance, t);
+                        if tx.send((t, mag, stats)).is_err() {
+                            break; // the rank thread is done with the queue
+                        }
+                    }
+                }));
+            });
+            ahead = ReadAhead::Live(rx);
+        }
+        let mut inflight: std::collections::VecDeque<(usize, Vec<SendHandle>)> =
+            std::collections::VecDeque::with_capacity(depth);
+        let mut was_dead = false;
+        for &t in &plan.my_steps {
+            // a scripted failure: this rank stops cold, mid-pipeline, with
+            // no farewell — survivors must *detect* it via heartbeat
+            // timeouts. A death *window* (a scripted recovery later) keeps
+            // the thread parked in-loop, skipping every owned step, so the
+            // zip alignment with the group survives the outage.
+            if s.faults.as_ref().is_some_and(|p| p.rank_failed(me, t)) {
+                if s.faults.as_ref().is_some_and(|p| p.recovers_later(me, t)) {
+                    was_dead = true;
+                    ahead.take(me, t);
+                    timings.push(InputStepTiming::default());
+                    continue;
+                }
+                break;
+            }
+            // first owned step back: announce on TAG_JOIN so the survivors
+            // fold this rank into the group at the same boundary
+            let joining = std::mem::take(&mut was_dead);
+            if joining {
+                if let Some(g) = &group {
+                    for &r in g.iter().filter(|&&r| r != me) {
+                        comm.send_with_size(r, TAG_JOIN + t as u64, (), 8);
+                    }
+                }
+                if let Some(p) = &s.faults {
+                    p.note_rejoin();
+                }
+                dead.clear();
+            }
+            // catch up on the epoch clock before this step's routing decisions
+            input_ticks(comm, s, &mut elastic, &mut tick_cursor, t);
+            // elastic reshape: the committed input width overrides the
+            // static 2DIP slice plan. Members past the width sit the step
+            // out (their slice is empty); the active members re-slice over
+            // the narrower live count, exactly like the failover path —
+            // same helper, so a reshaped run computes bit-identical slices
+            // to a shrunken group.
+            let width = elastic.as_ref().map_or(usize::MAX, |e| e.input_width);
+            if plan.member >= width {
+                ahead.take(me, t);
                 timings.push(InputStepTiming::default());
                 continue;
             }
-            break;
-        }
-        // first owned step back: announce on TAG_JOIN so the survivors
-        // fold this rank into the group at the same boundary, and reset
-        // the send-delta state — the first sends back are natural
-        // keyframes, never deltas against pre-death receiver state
-        let joining = std::mem::take(&mut was_dead);
-        if joining {
-            if let Some(g) = &group {
-                for &r in g.iter().filter(|&&r| r != me) {
-                    comm.send_with_size(r, TAG_JOIN + t as u64, (), 8);
-                }
-            }
-            if let Some(p) = &s.faults {
-                p.note_rejoin();
-            }
-            dead.clear();
-            delta.clear();
-        }
-        // catch up on the epoch clock before this step's routing decisions
-        input_ticks(comm, s, &mut elastic, &mut delta, &mut tick_cursor, t);
-        // elastic reshape: the committed input width overrides the static
-        // 2DIP slice plan. Members past the width sit the step out (their
-        // slice is empty); the active members re-slice over the narrower
-        // live count, exactly like the failover path — same helper, so a
-        // reshaped run computes bit-identical slices to a shrunken group.
-        let width = elastic.as_ref().map_or(usize::MAX, |e| e.input_width);
-        if plan.member >= width {
-            timings.push(InputStepTiming::default());
-            continue;
-        }
-        let (fetch_override, lead) = match &group {
-            Some(g) => heartbeat_and_slice(comm, s, g, &mut dead, t, joining),
-            None => {
-                if width < per_group {
-                    (Some(member_fetch(s, plan.member, width)), plan.member == 0)
-                } else {
-                    (None, plan.member == 0)
-                }
-            }
-        };
-        let fetch = fetch_override.as_ref().map_or(&plan.fetch, |(f, _)| f);
-        let my_span = fetch_override.as_ref().map_or(plan.my_span, |&(_, sp)| sp);
-        let mut timing = InputStepTiming::default();
-        let (mag, stats) = prepare_step(group_comm, s, fetch, &enhance, t);
-        timing.read = stats;
-        if lead {
-            lic_step(comm, s, t, &mut timing.read);
-        }
-        let mut send_sp = obs::span(Phase::Send, t as u32);
-        for (dst, batch, bytes) in
-            pack_batches(s, elastic.as_ref(), my_span, mag.as_deref(), me, t, &mut delta)
-        {
-            send_sp.add_bytes(bytes);
-            comm.send_lossy_with_size(dst, TAG_DATA + t as u64, batch, bytes);
-        }
-        drop(send_sp);
-        timings.push(timing);
-    }
-    // the controller keeps clocking ticks after my last owned step:
-    // stay on the line until the schedule runs out
-    input_ticks(comm, s, &mut elastic, &mut delta, &mut tick_cursor, s.steps.saturating_sub(1));
-    timings
-}
-
-/// Slots in the prefetch hand-off queue and, equally, the cap on how many
-/// steps' block sends may be in flight before the consumer waits.
-const PREFETCH_SLOTS: usize = 2;
-
-/// The overlapped runtime (ROADMAP "async / overlapped runtime"; paper
-/// §4's pipelining claim). A prefetch worker thread runs read, preprocess
-/// and pack for future steps (up to [`PREFETCH_SLOTS`] ahead) and hands
-/// prepared steps over a bounded queue; the rank thread synthesizes LIC
-/// and issues the block sends as non-blocking [`quakeviz_rt::SendHandle`]s,
-/// waiting on the oldest step's handles once [`PREFETCH_SLOTS`] steps are
-/// in flight. Because an isend completes only when the renderer *matches*
-/// the message, that wait throttles input ranks to the consumption rate of
-/// the render group instead of running arbitrarily far ahead.
-///
-/// Deadlock-free: sends of a step are always issued before any wait on an
-/// older step, renderers consume steps in monotone order, and the LIC /
-/// volume sends stay buffered (plain sends, never waited on).
-fn input_main_prefetch(
-    comm: &Comm,
-    session: &Arc<Obs>,
-    s: &Shared,
-    plan: &InputPlan,
-) -> Vec<InputStepTiming> {
-    let enhance = TemporalEnhance::default();
-    let mut timings = Vec::with_capacity(plan.my_steps.len());
-    // bounded two-slot hand-off: worker blocks when the consumer is two
-    // prepared steps behind
-    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Vec<(usize, BlockBatch, u64)>, ReadStats)>(
-        PREFETCH_SLOTS,
-    );
-    let track = obs::current_attachment();
-    let me = comm.rank();
-    std::thread::scope(|scope| {
-        // `move` hands the worker its own tx: if it dies — a panic
-        // (contained below) or the scripted `fail_prefetch` kill — tx
-        // drops and the consumer's recv fails instead of blocking forever
-        scope.spawn(move || {
-            // record the worker's Read/Preprocess/Send(pack) spans on this
-            // rank's own track
-            let _g = track.as_ref().map(|h| h.attach());
-            // a worker panic must not abort the rank through the scope:
-            // contain it here and let the closed channel carry the news
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                // delta state lives with the packer: the worker walks this
-                // rank's steps in order, exactly like the synchronous loop
-                let mut delta = DeltaMap::new();
-                for &t in &plan.my_steps {
-                    if s.faults.as_ref().is_some_and(|p| p.prefetch_failed(t)) {
-                        return; // scripted worker death: go silent mid-run
-                    }
-                    // collective reads are rejected at config validation, so
-                    // the worker never needs the group communicator
-                    let (mag, stats) = prepare_step(None, s, &plan.fetch, &enhance, t);
-                    let mut sp = obs::span(Phase::Send, t as u32);
-                    let batches =
-                        pack_batches(s, None, plan.my_span, mag.as_deref(), me, t, &mut delta);
-                    for (_, _, bytes) in &batches {
-                        sp.add_bytes(*bytes);
-                    }
-                    drop(sp);
-                    if tx.send((t, batches, stats)).is_err() {
-                        break; // consumer died (panic unwinding)
-                    }
-                }
-            }));
-        });
-        let mut inflight: std::collections::VecDeque<(usize, Vec<SendHandle>)> =
-            std::collections::VecDeque::with_capacity(PREFETCH_SLOTS);
-        // once the worker dies, the consumer serves the remaining steps
-        // itself, synchronously, with fresh delta state — the forced
-        // keyframes decode against any receiver state, so the fallback
-        // frames stay bit-identical to an unfaulted run's
-        let mut fallback_delta: Option<DeltaMap> = None;
-        for &t in &plan.my_steps {
-            let handed = if fallback_delta.is_some() {
-                None
-            } else {
-                match rx.recv() {
-                    Ok(v) => Some(v),
-                    Err(_) => {
-                        eprintln!(
-                            "quakeviz: rank {me}: prefetch worker died before step {t}; \
-                             serving remaining steps synchronously"
-                        );
-                        fallback_delta = Some(DeltaMap::new());
-                        None
-                    }
-                }
-            };
-            let (batches, mut stats) = match handed {
-                Some((tp, batches, stats)) => {
-                    debug_assert_eq!(tp, t, "prefetch worker must deliver steps in order");
-                    (batches, stats)
-                }
+            let (fetch_override, lead) = match &group {
+                Some(g) => heartbeat_and_slice(comm, s, g, &mut dead, t, joining),
                 None => {
-                    match &s.faults {
-                        Some(p) => p.note_prefetch_fallback(),
-                        None => session.metrics().counter("recovery.prefetch_fallbacks").inc(),
+                    if width < per_group {
+                        (Some(member_fetch(s, plan.member, width)), plan.member == 0)
+                    } else {
+                        (None, plan.member == 0)
                     }
-                    let (mag, stats) = prepare_step(None, s, &plan.fetch, &enhance, t);
-                    let delta = fallback_delta.as_mut().expect("fallback delta state");
-                    let mut sp = obs::span(Phase::Send, t as u32);
-                    let batches = pack_batches(s, None, plan.my_span, mag.as_deref(), me, t, delta);
-                    for (_, _, bytes) in &batches {
-                        sp.add_bytes(*bytes);
-                    }
-                    drop(sp);
-                    (batches, stats)
                 }
             };
-            if plan.member == 0 {
-                lic_step(comm, s, t, &mut stats);
+            // exactly one hand-off per owned step, used only when it was
+            // read with this step's fetch plan
+            let handed = ahead.take(me, t).filter(|_| fetch_override.is_none());
+            let (mag, read) = match handed {
+                Some(prepared) => prepared,
+                None => {
+                    if matches!(ahead, ReadAhead::Dead) {
+                        match &s.faults {
+                            Some(p) => p.note_prefetch_fallback(),
+                            None => session.metrics().counter("recovery.prefetch_fallbacks").inc(),
+                        }
+                    }
+                    let fetch = fetch_override.as_ref().map_or(&plan.fetch, |(f, _)| f);
+                    prepare_step(group_comm, s, fetch, &enhance, t)
+                }
+            };
+            let my_span = fetch_override.as_ref().map_or(plan.my_span, |&(_, sp)| sp);
+            let mut timing = InputStepTiming { read, ..Default::default() };
+            if lead {
+                lic_step(comm, s, t, &mut timing.read);
             }
             // backpressure: cap in-flight steps before issuing new sends
-            if inflight.len() >= PREFETCH_SLOTS {
+            if depth > 0 && inflight.len() >= depth {
                 let (t0, handles) = inflight.pop_front().unwrap();
                 let _sp = obs::span(Phase::SendWait, t0 as u32);
                 wait_all(handles);
             }
-            let handles: Vec<SendHandle> = batches
-                .into_iter()
-                .map(|(dst, batch, bytes)| {
-                    comm.isend_lossy_with_size(dst, TAG_DATA + t as u64, batch, bytes)
-                })
-                .collect();
-            inflight.push_back((t, handles));
-            timings.push(InputStepTiming { read: stats, ..Default::default() });
+            let mut send_sp = obs::span(Phase::Send, t as u32);
+            let mut handles = Vec::new();
+            for (dst, batch, bytes) in
+                pack_batches(s, elastic.as_ref(), my_span, mag.as_deref(), me, t)
+            {
+                send_sp.add_bytes(bytes);
+                // an empty batch carries nothing a renderer must drain:
+                // under a fault plan it may never be matched, so it is
+                // never waited on
+                let empty = batch.is_empty();
+                let h = comm.isend_lossy_with_size(dst, TAG_DATA + t as u64, batch, bytes);
+                if depth > 0 && !empty {
+                    handles.push(h);
+                }
+            }
+            drop(send_sp);
+            if depth > 0 {
+                inflight.push_back((t, handles));
+            }
+            timings.push(timing);
         }
+        // the controller keeps clocking ticks after my last owned step:
+        // stay on the line until the schedule runs out
+        input_ticks(comm, s, &mut elastic, &mut tick_cursor, s.steps.saturating_sub(1));
         // drain the tail so the trace sees the full send lifetime
         while let Some((t0, handles)) = inflight.pop_front() {
             let _sp = obs::span(Phase::SendWait, t0 as u32);
             wait_all(handles);
         }
     });
+
+    // derive the per-step timings from the span stream (which includes
+    // the read-ahead worker's spans — it records onto the same rank track)
+    let events = obs::current_events();
+    for (timing, &t) in timings.iter_mut().zip(&plan.my_steps) {
+        timing.preprocess_s = phase_seconds_by_step(&events, Phase::Preprocess, t);
+        timing.lic_s = phase_seconds_by_step(&events, Phase::Lic, t);
+        timing.send_s = phase_seconds_by_step(&events, Phase::Send, t);
+        timing.send_wait_s = phase_seconds_by_step(&events, Phase::SendWait, t);
+    }
     timings
 }
 
@@ -2827,10 +2688,7 @@ fn render_main(
     let mut output_dead = false;
     let mut takeover: Option<OutputTakeover> = None;
 
-    // receiver-side temporal-delta state, keyed (src, bid, offset); a
-    // resumed run starts empty, matched by the senders' forced keyframes
     let codec = s.wire.codec_for(TagClass::BlockData);
-    let mut rx_delta = DeltaMap::new();
 
     // elastic control-plane state: epoch 0, or a resumed run's replayed
     // plan history. A committed plan regroups the active render prefix
@@ -2900,11 +2758,6 @@ fn render_main(
                     p.note_catchup_field();
                 }
             }
-            // receive-delta state resets: the senders keyframe on the
-            // rebuilt full-set routes (their delta keys for this window
-            // differ from the full-partition keys, so the join epoch
-            // starts from natural keyframes either way)
-            rx_delta.clear();
             live_world = (s.n_inputs..s.n_inputs + s.n_renderers).collect();
             failover_comm = None;
             my_virtual = rr;
@@ -2980,8 +2833,7 @@ fn render_main(
         }
         // elastic epoch clock: the controller's tick arrives before any
         // of this step's data. Apply-on-commit keeps every rank's epoch
-        // state in lockstep, and the cleared receive-delta state matches
-        // the senders' forced keyframes on the (possibly new) routes.
+        // state in lockstep.
         if s.control_tick(t) {
             let _sp = obs::span(Phase::Control, t as u32);
             if std::mem::take(&mut pending_catchup) {
@@ -3011,7 +2863,6 @@ fn render_main(
                         elastic_comm = comm.group(&members);
                         grouped_active = e.active;
                     }
-                    rx_delta.clear();
                     if let Some(tier) = &s.cache {
                         tier.flush_for_commit(t as u32);
                     }
@@ -3064,12 +2915,12 @@ fn render_main(
                 // write disjoint (block, offset) slices, so ingest order
                 // cannot change the frame
                 for _ in 0..n_sources {
-                    let (src, batch): (usize, BlockBatch) = comm.recv_any(TAG_DATA + t as u64);
+                    let (_, batch): (usize, BlockBatch) = comm.recv_any(TAG_DATA + t as u64);
                     recv_sp.add_bytes(batch.iter().map(|p| p.body.len() as u64).sum());
                     let t0 = Instant::now();
                     let _dec_sp = obs::auto_span(Phase::Decode, t as u32);
                     for piece in batch {
-                        match ingest_clean(codec, &piece, src, t as u32, &mut rx_delta) {
+                        match ingest_clean(codec, &piece) {
                             Ok(payload) => {
                                 let ids = &s.ids_per_block[piece.bid as usize];
                                 for k in 0..payload.len() {
@@ -3108,7 +2959,7 @@ fn render_main(
                 };
                 while pending(&seen) {
                     let remaining = step_deadline.saturating_duration_since(Instant::now());
-                    let Some((src, batch)) =
+                    let Some((_, batch)) =
                         comm.recv_any_for::<BlockBatch>(TAG_DATA + t as u64, remaining)
                     else {
                         break; // deadline: degrade, don't stall the frame
@@ -3125,15 +2976,15 @@ fn render_main(
                             plan.note_checksum_failure();
                             continue;
                         }
-                        match decode_piece(codec, &piece, src, t as u32, &mut rx_delta) {
+                        match decode_piece(codec, &piece) {
                             Ingest::Missing(n) => {
                                 seen[b] += n as usize;
                                 missing[b] += n as usize;
                             }
                             Ingest::Reject(_) => {
-                                // verified envelope but unusable contents
-                                // (e.g. delta base lost to an earlier fault):
-                                // treat like a drop and let degradation cover
+                                // verified envelope but undecodable
+                                // contents: treat like a drop and let
+                                // degradation cover
                                 seen[b] += piece.value_len();
                                 plan.note_wire_reject();
                             }
@@ -3621,7 +3472,7 @@ mod tests {
         // wire codecs shape bytes in flight, never decoded values: a
         // checkpoint written under one codec must resume under another
         let mut recoded = base.clone();
-        recoded.wire = Some(WireSpec::parse("rle,delta,keyframe=3").unwrap());
+        recoded.wire = Some(WireSpec::parse("rle").unwrap());
         assert_eq!(fp(&base), fp(&recoded), "wire codec must not invalidate a checkpoint");
         // caches and sharding change costs, never decoded values or frames
         let mut cached = base.clone();
@@ -3865,8 +3716,6 @@ mod tests {
         assert!(err(PipelineBuilder::new(&ds).max_steps(0)).contains("step"));
         // elastic control-plane constraints
         assert!(err(PipelineBuilder::new(&ds).elastic(0)).contains("control tick period"));
-        assert!(err(PipelineBuilder::new(&ds).elastic(2).prefetch(true))
-            .contains("cannot run with the prefetch"));
         // reshape needs a 2DIP group wide enough to narrow
         assert!(err(PipelineBuilder::new(&ds)
             .elastic(2)
@@ -3916,21 +3765,9 @@ mod tests {
     /// A well-formed piece round-trips through the clean receive path.
     #[test]
     fn ingest_clean_accepts_a_valid_piece() {
-        let spec = WireSpec::parse("rle").unwrap();
         let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
-        let mut tx = DeltaMap::new();
-        let piece = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &payload,
-            1,
-            &mut tx,
-            true,
-        );
-        let mut rx = DeltaMap::new();
-        let got = ingest_clean(spec.codec_for(TagClass::BlockData), &piece, 0, 1, &mut rx)
-            .expect("valid piece ingests");
+        let piece = pack_piece(Codec::Rle, 7, 0, &payload);
+        let got = ingest_clean(Codec::Rle, &piece).expect("valid piece ingests");
         assert_eq!(got.raw_bytes(), payload.raw_bytes());
     }
 
@@ -3939,78 +3776,18 @@ mod tests {
     /// rejection the caller degrades on, never a panic.
     #[test]
     fn ingest_clean_rejects_corruption_instead_of_panicking() {
-        let spec = WireSpec::parse("rle").unwrap();
         let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
-        let mut tx = DeltaMap::new();
-        let mut piece = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &payload,
-            1,
-            &mut tx,
-            true,
-        );
+        let mut piece = pack_piece(Codec::Rle, 7, 0, &payload);
         piece.body[0] ^= 0x40;
-        let mut rx = DeltaMap::new();
-        let err =
-            ingest_clean(spec.codec_for(TagClass::BlockData), &piece, 0, 1, &mut rx).unwrap_err();
-        assert_eq!(err, "checksum mismatch");
-        assert!(rx.is_empty(), "a rejected piece must not advance receiver delta state");
+        assert_eq!(ingest_clean(Codec::Rle, &piece).unwrap_err(), "checksum mismatch");
     }
 
     /// Regression: a missing marker is fault-plan bookkeeping — arriving
     /// without a plan it is rejected, not ingested and not a panic.
     #[test]
     fn ingest_clean_rejects_stray_missing_marker() {
-        let spec = WireSpec::parse("raw").unwrap();
-        let mut tx = DeltaMap::new();
-        let piece = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &Payload::Missing(16),
-            1,
-            &mut tx,
-            true,
-        );
-        let mut rx = DeltaMap::new();
-        let err =
-            ingest_clean(spec.codec_for(TagClass::BlockData), &piece, 0, 1, &mut rx).unwrap_err();
+        let piece = pack_piece(Codec::Raw, 7, 0, &Payload::Missing(16));
+        let err = ingest_clean(Codec::Raw, &piece).unwrap_err();
         assert_eq!(err, "missing marker without a fault plan");
-    }
-
-    /// Regression: a delta piece whose base the receiver never decoded
-    /// (e.g. state cleared at a rejoin boundary) is a typed rejection.
-    #[test]
-    fn ingest_clean_rejects_delta_with_unavailable_base() {
-        let spec = WireSpec::parse("rle,delta,keyframe=4").unwrap();
-        let payload = Payload::F32(vec![0.25, 0.5, 0.75, 1.0]);
-        let mut tx = DeltaMap::new();
-        // step 1 primes the sender lane, step 2 emits a true delta piece
-        let _ = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &payload,
-            1,
-            &mut tx,
-            true,
-        );
-        let next = Payload::F32(vec![0.5, 0.5, 0.75, 1.5]);
-        let piece = pack_piece(
-            &spec,
-            spec.codec_for(TagClass::BlockData),
-            (3, 7, 0),
-            &next,
-            2,
-            &mut tx,
-            true,
-        );
-        assert_ne!(piece.base_step, KEYFRAME, "step 2 must actually delta");
-        let mut rx = DeltaMap::new();
-        let err =
-            ingest_clean(spec.codec_for(TagClass::BlockData), &piece, 0, 2, &mut rx).unwrap_err();
-        assert_eq!(err, "delta base unavailable");
     }
 }

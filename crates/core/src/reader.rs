@@ -265,7 +265,7 @@ pub fn member_node_range(node_count: usize, j: usize, m: usize) -> (usize, usize
 }
 
 /// One input rank's per-step fetch pattern, precomputed once (it is
-/// constant across steps) so the synchronous loop and the prefetch worker
+/// constant across steps) so the input loop and its read-ahead worker
 /// issue byte-identical reads from a single description.
 #[derive(Debug, Clone, Default)]
 pub struct FetchPlan {

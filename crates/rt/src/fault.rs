@@ -84,10 +84,10 @@ pub struct FaultSpec {
     /// tested against. Only the render phase is inflated, so the skew is
     /// visible exactly where the controller measures.
     pub slow_rank: Option<(usize, f64)>,
-    /// Step at which every input rank's prefetch worker thread dies
-    /// (scripted). The consumer detects the closed hand-off channel and
-    /// serves the remaining steps synchronously, counted per step as
-    /// `recovery.prefetch_fallbacks`; a no-op on the synchronous runtime.
+    /// Step at which every input rank's read-ahead worker thread dies
+    /// (scripted). The rank thread detects the closed hand-off channel and
+    /// prepares the remaining steps inline, counted per step as
+    /// `recovery.prefetch_fallbacks`; a no-op without prefetch.
     pub fail_prefetch: Option<usize>,
 }
 
@@ -386,8 +386,8 @@ pub struct RecoveryStats {
     /// Wire checksum mismatches detected on receive.
     pub checksum_failures: u64,
     /// Pieces whose checksum verified but whose contents were unusable
-    /// (undecodable codec body, or a temporal-delta base the receiver no
-    /// longer holds after an upstream fault); dropped and degraded over.
+    /// (undecodable codec body or malformed missing marker); dropped and
+    /// degraded over.
     pub wire_rejects: u64,
     /// Blocks rendered degraded (coarser level / stale data), summed over
     /// frames.
@@ -404,8 +404,8 @@ pub struct RecoveryStats {
     /// Frames assembled by the failover supervisor after the output rank
     /// died (shipped flagged, never silently skipped).
     pub migrated_frames: u64,
-    /// Steps an input rank served synchronously after its prefetch worker
-    /// thread died (the overlapped runtime degraded, never aborted).
+    /// Steps an input rank prepared inline after its read-ahead worker
+    /// thread died (the overlap degraded, the run never aborted).
     pub prefetch_fallbacks: u64,
     /// Scripted elastic-controller kills observed (at most 1): the
     /// pipeline froze on its last committed epoch from that step on.
@@ -571,19 +571,6 @@ impl FaultPlan {
         None
     }
 
-    /// Whether the lossy send `(src, dst, tag)` will be dropped: the same
-    /// deterministic roll [`FaultPlan::send_fault`] makes at the send
-    /// site, as a side-effect-free peek (no log entry — the send itself
-    /// logs when it happens). This is the sender-local transmit-failure
-    /// notification a real lossy transport delivers: layers that keep
-    /// cross-step wire state (the temporal-delta codec) must not let a
-    /// message the transport reported lost advance their idea of what
-    /// the receiver holds.
-    pub fn send_will_drop(&self, src: usize, dst: usize, tag: u64) -> bool {
-        let site = FaultPlan::site_hash(&[src as u64, dst as u64, tag]);
-        self.spec.send_drop > 0.0 && self.roll(SALT_DROP, site, 0) < self.spec.send_drop
-    }
-
     /// Roll wire corruption for one lossy send; `Some(bits)` means the
     /// sender flips payload bit `bits % payload_bits` after checksumming,
     /// so the receiver's verify-on-receive catches it.
@@ -718,8 +705,8 @@ impl FaultPlan {
         self.migrated_frames.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one step served synchronously after the prefetch worker
-    /// thread died.
+    /// Record one step prepared inline after the read-ahead worker thread
+    /// died.
     pub fn note_prefetch_fallback(&self) {
         self.prefetch_fallbacks.fetch_add(1, Ordering::Relaxed);
     }

@@ -255,39 +255,22 @@ fn zero_run_decode(body: &[u8], raw_len: usize) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
-/// XOR `prev` into `cur` in place — both the temporal-delta transform and
-/// its own inverse. Lengths must match (callers force a keyframe when the
-/// previous payload has a different length).
-pub fn xor_in_place(cur: &mut [u8], prev: &[u8]) {
-    debug_assert_eq!(cur.len(), prev.len());
-    for (c, p) in cur.iter_mut().zip(prev) {
-        *c ^= *p;
-    }
-}
-
-/// Wire configuration: a codec per [`TagClass`] plus the temporal-delta
-/// switch for block data.
+/// Wire configuration: a codec per [`TagClass`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSpec {
     pub codecs: [Codec; TagClass::COUNT],
-    /// Send per-block XOR deltas against the sender's previous step.
-    pub delta: bool,
-    /// Force a keyframe every K sender-owned steps (absolute step count,
-    /// so the schedule is deterministic across resume). Ignored unless
-    /// `delta` is on.
-    pub keyframe_every: u32,
 }
 
 impl Default for WireSpec {
     fn default() -> WireSpec {
-        WireSpec { codecs: [Codec::Raw; TagClass::COUNT], delta: false, keyframe_every: 8 }
+        WireSpec::all(Codec::Raw)
     }
 }
 
 impl WireSpec {
-    /// All payload classes on `codec`, deltas off.
+    /// All payload classes on `codec`.
     pub fn all(codec: Codec) -> WireSpec {
-        WireSpec { codecs: [codec; TagClass::COUNT], ..WireSpec::default() }
+        WireSpec { codecs: [codec; TagClass::COUNT] }
     }
 
     /// The plain uncompressed wire format (the default).
@@ -301,18 +284,15 @@ impl WireSpec {
 
     /// Anything non-default configured?
     pub fn is_active(&self) -> bool {
-        self.delta || self.codecs.iter().any(|&c| c != Codec::Raw)
+        self.codecs.iter().any(|&c| c != Codec::Raw)
     }
 
     /// Parse a spec string. Tokens are separated by `,` or `+`:
     ///
     /// * `raw` / `rle` / `shuffle` — codec for every payload class
     /// * `<class>=<codec>` — per-class override, e.g. `block_data=shuffle`
-    /// * `delta` / `delta=on|off` — temporal block deltas
-    /// * `keyframe=K` (alias `keyframe_every=K`) — keyframe period, K ≥ 1
     ///
-    /// Examples: `rle`, `shuffle+delta`, `shuffle+delta+keyframe=4`,
-    /// `block_data=shuffle,lic_image=rle,delta`.
+    /// Examples: `rle`, `shuffle`, `block_data=shuffle,lic_image=rle`.
     pub fn parse(s: &str) -> Result<WireSpec, String> {
         let mut spec = WireSpec::default();
         for tok in s.split([',', '+']).map(str::trim).filter(|t| !t.is_empty()) {
@@ -321,22 +301,7 @@ impl WireSpec {
                 continue;
             }
             match tok.split_once('=') {
-                None if tok == "delta" => spec.delta = true,
                 None => return Err(format!("unknown wire token {tok:?}")),
-                Some(("delta", v)) => {
-                    spec.delta = match v {
-                        "on" | "1" | "true" => true,
-                        "off" | "0" | "false" => false,
-                        _ => return Err(format!("delta: bad value {v:?}")),
-                    }
-                }
-                Some(("keyframe" | "keyframe_every", v)) => {
-                    let k: u32 = v.parse().map_err(|_| format!("keyframe: bad value {v:?}"))?;
-                    if k == 0 {
-                        return Err("keyframe: period must be >= 1".into());
-                    }
-                    spec.keyframe_every = k;
-                }
                 Some((class, codec)) => {
                     let c =
                         Codec::parse(codec).ok_or_else(|| format!("unknown codec {codec:?}"))?;
@@ -366,39 +331,26 @@ impl WireSpec {
         }
     }
 
-    /// Short human description for reports ("block_data=shuffle delta k=4",
-    /// or just the codec name when every class shares it).
+    /// Short human description for reports ("block_data=shuffle", or just
+    /// the codec name when every class shares it).
     pub fn describe(&self) -> String {
-        let uniform = self.codecs.iter().all(|c| *c == self.codecs[0]);
-        let mut parts: Vec<String> = if uniform {
-            if self.codecs[0] == Codec::Raw {
-                Vec::new()
-            } else {
-                vec![self.codecs[0].as_str().to_string()]
-            }
-        } else {
-            TagClass::ALL
-                .iter()
-                .filter(|c| self.codec_for(**c) != Codec::Raw)
-                .map(|c| format!("{}={}", c.as_str(), self.codec_for(*c).as_str()))
-                .collect()
-        };
-        if self.delta {
-            parts.push(format!("delta k={}", self.keyframe_every));
+        if self.codecs.iter().all(|c| *c == self.codecs[0]) {
+            return self.codecs[0].as_str().to_string();
         }
-        if parts.is_empty() {
-            "raw".into()
-        } else {
-            parts.join(" ")
-        }
+        TagClass::ALL
+            .iter()
+            .filter(|c| self.codec_for(**c) != Codec::Raw)
+            .map(|c| format!("{}={}", c.as_str(), self.codec_for(*c).as_str()))
+            .collect::<Vec<_>>()
+            .join(" ")
     }
 }
 
-const LEDGER_FIELDS: usize = 6;
+const LEDGER_FIELDS: usize = 4;
 
 /// Per-[`TagClass`] raw-vs-wire accounting, shared by every rank thread.
-/// Sender sides record raw/wire byte counts and encode time plus the
-/// keyframe/delta piece split; receiver sides record decode time.
+/// Sender sides record raw/wire byte counts and encode time; receiver
+/// sides record decode time.
 #[derive(Default)]
 pub struct WireLedger {
     cells: [[AtomicU64; LEDGER_FIELDS]; TagClass::COUNT],
@@ -412,8 +364,6 @@ pub struct WireClassStats {
     pub wire_bytes: u64,
     pub encode_ns: u64,
     pub decode_ns: u64,
-    pub keyframe_pieces: u64,
-    pub delta_pieces: u64,
 }
 
 impl WireClassStats {
@@ -439,12 +389,6 @@ impl WireLedger {
         self.cells[class.index()][3].fetch_add(decode_ns, Ordering::Relaxed);
     }
 
-    pub fn record_pieces(&self, class: TagClass, keyframes: u64, deltas: u64) {
-        let cell = &self.cells[class.index()];
-        cell[4].fetch_add(keyframes, Ordering::Relaxed);
-        cell[5].fetch_add(deltas, Ordering::Relaxed);
-    }
-
     /// Totals for every class that saw traffic, in [`TagClass::ALL`] order.
     pub fn snapshot(&self) -> Vec<WireClassStats> {
         TagClass::ALL
@@ -457,8 +401,6 @@ impl WireLedger {
                     wire_bytes: cell[1].load(Ordering::Relaxed),
                     encode_ns: cell[2].load(Ordering::Relaxed),
                     decode_ns: cell[3].load(Ordering::Relaxed),
-                    keyframe_pieces: cell[4].load(Ordering::Relaxed),
-                    delta_pieces: cell[5].load(Ordering::Relaxed),
                 }
             })
             .filter(|s| s.raw_bytes > 0 || s.wire_bytes > 0)
@@ -514,22 +456,21 @@ mod tests {
 
     #[test]
     fn spec_parse_grammar() {
-        let s = WireSpec::parse("shuffle+delta+keyframe=4").unwrap();
-        assert_eq!(s.codec_for(TagClass::BlockData), Codec::Shuffle);
-        assert!(s.delta);
-        assert_eq!(s.keyframe_every, 4);
+        let s = WireSpec::parse("shuffle").unwrap();
+        assert_eq!(s, WireSpec::all(Codec::Shuffle));
+        assert_eq!(s.describe(), "shuffle");
 
         let s = WireSpec::parse("block_data=rle,lic_image=shuffle").unwrap();
         assert_eq!(s.codec_for(TagClass::BlockData), Codec::Rle);
         assert_eq!(s.codec_for(TagClass::LicImage), Codec::Shuffle);
         assert_eq!(s.codec_for(TagClass::VolumeImage), Codec::Raw);
-        assert!(!s.delta);
+        assert_eq!(s.describe(), "block_data=rle lic_image=shuffle");
 
         assert!(WireSpec::parse("").unwrap() == WireSpec::default());
         assert!(WireSpec::parse("zstd").is_err());
         assert!(WireSpec::parse("block_data=lz4").is_err());
-        assert!(WireSpec::parse("keyframe=0").is_err());
-        assert!(WireSpec::parse("delta=maybe").is_err());
+        assert!(WireSpec::parse("rle,delta").is_err());
+        assert!(WireSpec::parse("keyframe=4").is_err());
     }
 
     #[test]
@@ -538,14 +479,12 @@ mod tests {
         ledger.record_send(TagClass::BlockData, 100, 40, 7);
         ledger.record_send(TagClass::BlockData, 100, 60, 3);
         ledger.record_decode(TagClass::BlockData, 5);
-        ledger.record_pieces(TagClass::BlockData, 2, 6);
         let snap = ledger.snapshot();
         assert_eq!(snap.len(), 1);
         let s = snap[0];
         assert_eq!(s.class, TagClass::BlockData);
         assert_eq!((s.raw_bytes, s.wire_bytes), (200, 100));
         assert_eq!((s.encode_ns, s.decode_ns), (10, 5));
-        assert_eq!((s.keyframe_pieces, s.delta_pieces), (2, 6));
         assert!((s.ratio() - 2.0).abs() < 1e-12);
     }
 }

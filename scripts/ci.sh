@@ -147,19 +147,14 @@ if [[ -z "${QUAKEVIZ_FAULTS:-}" && -z "${QUAKEVIZ_TRACE+x}" ]]; then
         QUAKEVIZ_FAULTS="${spec}" QUAKEVIZ_TRACE=0 cargo test --workspace -q --release
     done
     # Codec matrix: the whole release suite must also pass with a wire
-    # codec (and temporal deltas) injected through QUAKEVIZ_CODEC. Every
+    # codec injected through QUAKEVIZ_CODEC. Every
     # differential oracle still demands bit-identical frames, so these
     # cells prove the codec layer is invisible to everything above it.
     # Tests that pin .wire_spec() explicitly (the raw baselines of the
-    # delta/codec oracles) are unaffected by the env. An externally
+    # codec oracles) are unaffected by the env. An externally
     # pinned QUAKEVIZ_CODEC (the CI job matrix) is covered by the
     # release pass above; locally all cells run.
-    for codec in \
-        "raw,delta,keyframe=3" \
-        "rle" \
-        "rle,delta,keyframe=3" \
-        "shuffle" \
-        "shuffle,delta,keyframe=4"; do
+    for codec in "rle" "shuffle"; do
         echo "==> cargo test --release (QUAKEVIZ_CODEC=${codec})"
         QUAKEVIZ_CODEC="${codec}" QUAKEVIZ_TRACE=0 cargo test --workspace -q --release
     done

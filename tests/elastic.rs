@@ -70,25 +70,30 @@ fn assert_plans_wellformed(plans: &[ControlPlan], renderers: usize, max_width: u
 
 /// Headline: a scripted load skew makes the controller commit a
 /// rebalance that sheds weight off the slow rank — and the rebalanced
-/// frames stay bit-identical to the static, unfaulted oracle.
+/// frames stay bit-identical to the static, unfaulted oracle, with or
+/// without read-ahead (the input loop packs under the epoch in force at
+/// send time, so prefetched reads never race a commit).
 #[test]
 fn skewed_load_triggers_rebalance_and_frames_stay_identical() {
     let ds = dataset();
     let oracle = builder(&ds).run().expect("static oracle");
-    let elastic = skew(builder(&ds)).elastic(2).run().expect("elastic pipeline");
-    assert_frames_identical(&oracle, &elastic);
-    assert!(
-        !elastic.control_plans.is_empty(),
-        "an 8x render skew must produce at least one committed plan"
-    );
-    assert_plans_wellformed(&elastic.control_plans, 3, 1);
-    let last = elastic.control_plans.last().unwrap();
-    assert!(
-        last.assignment[0].len() < last.assignment[1].len()
-            && last.assignment[0].len() < last.assignment[2].len(),
-        "slow render rank 0 must shed blocks: {:?}",
-        last.assignment.iter().map(Vec::len).collect::<Vec<_>>()
-    );
+    for prefetch in [false, true] {
+        let elastic =
+            skew(builder(&ds)).elastic(2).prefetch(prefetch).run().expect("elastic pipeline");
+        assert_frames_identical(&oracle, &elastic);
+        assert!(
+            !elastic.control_plans.is_empty(),
+            "prefetch={prefetch}: an 8x render skew must produce at least one committed plan"
+        );
+        assert_plans_wellformed(&elastic.control_plans, 3, 1);
+        let last = elastic.control_plans.last().unwrap();
+        assert!(
+            last.assignment[0].len() < last.assignment[1].len()
+                && last.assignment[0].len() < last.assignment[2].len(),
+            "prefetch={prefetch}: slow render rank 0 must shed blocks: {:?}",
+            last.assignment.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+    }
 }
 
 /// Robustness headline: killing the controller mid-run freezes every
@@ -155,34 +160,38 @@ fn resume_across_epoch_change_replays_plan_history() {
 /// plan committed through the same two-phase tick, the joiner catches
 /// up on the epochs it slept through, and every frame — before, during,
 /// and after the dormancy window — stays bit-identical to the static
-/// oracle. The last committed plan must hand blocks back to the joiner.
+/// oracle, with or without read-ahead. The last committed plan must hand
+/// blocks back to the joiner.
 #[test]
 fn windowed_rejoin_readmits_through_the_tick() {
     let ds = dataset();
     let oracle = builder(&ds).run().expect("static oracle");
-    // world: [0,1 inputs | 2,3,4 renderers | 5 output] — renderer 3 is
-    // dormant over [2,4); step 4 is a controller tick (every=2)
-    let rejoined = builder(&ds)
-        .elastic(2)
-        .faults(FaultSpec::parse("seed=11,fail_rank=3@2,recover_rank=3@4").unwrap())
-        .delivery_deadline_ms(500)
-        .run()
-        .expect("elastic rejoin pipeline");
-    assert_frames_identical(&oracle, &rejoined);
-    assert_plans_wellformed(&rejoined.control_plans, 3, 1);
-    let rec = rejoined.recovery.expect("fault plan must report recovery stats");
-    assert_eq!(rec.rejoins, 1, "the joiner must announce exactly once");
-    let admit = rejoined
-        .control_plans
-        .iter()
-        .find(|p| p.apply_at == 4)
-        .expect("the join tick must commit a re-admission plan");
-    assert!(
-        admit.assignment.iter().all(|blocks| !blocks.is_empty()),
-        "the re-admission plan must return to the full render set: {:?}",
-        admit.assignment.iter().map(Vec::len).collect::<Vec<_>>()
-    );
-    assert_eq!(admit.active, 3, "re-admission must keep the full active prefix");
+    for prefetch in [false, true] {
+        // world: [0,1 inputs | 2,3,4 renderers | 5 output] — renderer 3
+        // is dormant over [2,4); step 4 is a controller tick (every=2)
+        let rejoined = builder(&ds)
+            .elastic(2)
+            .prefetch(prefetch)
+            .faults(FaultSpec::parse("seed=11,fail_rank=3@2,recover_rank=3@4").unwrap())
+            .delivery_deadline_ms(500)
+            .run()
+            .expect("elastic rejoin pipeline");
+        assert_frames_identical(&oracle, &rejoined);
+        assert_plans_wellformed(&rejoined.control_plans, 3, 1);
+        let rec = rejoined.recovery.expect("fault plan must report recovery stats");
+        assert_eq!(rec.rejoins, 1, "prefetch={prefetch}: the joiner must announce exactly once");
+        let admit = rejoined
+            .control_plans
+            .iter()
+            .find(|p| p.apply_at == 4)
+            .expect("the join tick must commit a re-admission plan");
+        assert!(
+            admit.assignment.iter().all(|blocks| !blocks.is_empty()),
+            "prefetch={prefetch}: the re-admission plan must return to the full render set: {:?}",
+            admit.assignment.iter().map(Vec::len).collect::<Vec<_>>()
+        );
+        assert_eq!(admit.active, 3, "re-admission must keep the full active prefix");
+    }
 }
 
 /// Spare-pool recovery: a parked spare renderer joins at a tick with no
@@ -257,6 +266,8 @@ fn rejoin_across_checkpoint_resume_splices_bit_identical() {
 /// from live measurements — shrinking the render prefix, narrowing the
 /// input width, growing either back — the frames must stay bit-identical
 /// to the static oracle and every plan must keep the world well-formed.
+/// With read-ahead on, a reshaped step's fetch plan no longer matches the
+/// worker's, so the input loop discards the hand-off and reads inline.
 #[test]
 fn resize_and_reshape_keep_frames_identical() {
     let ds = dataset();
@@ -264,12 +275,15 @@ fn resize_and_reshape_keep_frames_identical() {
     let base =
         |ds: &Dataset| PipelineBuilder::new(ds).renderers(3).io_strategy(io).image_size(48, 48);
     let oracle = base(&ds).run().expect("static 2DIP oracle");
-    let elastic = base(&ds)
-        .elastic(2)
-        .elastic_resize(true)
-        .elastic_reshape(true)
-        .run()
-        .expect("resize+reshape pipeline");
-    assert_frames_identical(&oracle, &elastic);
-    assert_plans_wellformed(&elastic.control_plans, 3, 2);
+    for prefetch in [false, true] {
+        let elastic = base(&ds)
+            .elastic(2)
+            .elastic_resize(true)
+            .elastic_reshape(true)
+            .prefetch(prefetch)
+            .run()
+            .expect("resize+reshape pipeline");
+        assert_frames_identical(&oracle, &elastic);
+        assert_plans_wellformed(&elastic.control_plans, 3, 2);
+    }
 }
