@@ -1,6 +1,7 @@
 //! Versioned, machine-readable performance baselines: the
 //! `BENCH_pipeline.json` / `BENCH_render.json` / `BENCH_io.json` /
-//! `BENCH_wire.json` files committed at the repo root, the runners that
+//! `BENCH_wire.json` / `BENCH_composite.json` files committed at the
+//! repo root, the runners that
 //! regenerate them, and the regression comparison `pipeline-report
 //! --compare` runs in CI.
 //!
@@ -10,7 +11,7 @@
 //! ```json
 //! {
 //!   "schema_version": 1,
-//!   "area": "pipeline",            // pipeline | render | io | wire
+//!   "area": "pipeline",            // pipeline | render | io | wire | composite
 //!   "quick": true,                 // quick-mode run (CI smoke); compare
 //!                                  // refuses a quick-vs-full mix
 //!   "runs": [{
@@ -44,8 +45,8 @@ use std::time::Duration;
 /// Bump on any incompatible change to the emitted JSON layout.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// The four bench areas, in emission order.
-pub const AREAS: [&str; 4] = ["pipeline", "render", "io", "wire"];
+/// The bench areas, in emission order.
+pub const AREAS: [&str; 5] = ["pipeline", "render", "io", "wire", "composite"];
 
 /// Relative tolerance ratio a regression must exceed (CI passes 3.0:
 /// current > 3x baseline fails).
@@ -319,6 +320,7 @@ pub fn run_area(area: &str, quick: bool) -> Result<BenchFile, String> {
         "render" => Ok(run_render_area(quick)),
         "io" => Ok(run_io_area(quick)),
         "wire" => Ok(run_wire_area(quick)),
+        "composite" => Ok(run_composite_area(quick)),
         other => Err(format!("unknown area {other:?} (expected one of {AREAS:?})")),
     }
 }
@@ -853,6 +855,128 @@ pub fn run_wire_area(quick: bool) -> BenchFile {
     BenchFile { area: "wire".into(), quick, runs }
 }
 
+/// Ranks of the compositing area's render group.
+const COMPOSITE_RANKS: usize = 4;
+
+/// The compositing area's fixed, overlap-heavy fragment layout on a
+/// `size²` frame: a 4×4×4 block grid seen at an angle, so each pixel is
+/// covered by up to a dozen fragments stacked in depth, with blocks dealt
+/// round-robin over the ranks. Pixels are deterministic, with transparent
+/// stretches for RLE to find. Returns `(owner, fragment)` front to back.
+fn composite_layout(size: u32) -> Vec<(usize, quakeviz_render::Fragment)> {
+    use quakeviz_render::{Fragment, ScreenRect};
+    let cell = size * 7 / 32; // block pitch on screen
+    let side = size * 5 / 16; // block footprint
+    (0..64u32)
+        .map(|b| {
+            let (bx, by, bz) = (b % 4, (b / 4) % 4, b / 16);
+            let x0 = bx * cell + bz * size / 40;
+            let y0 = by * cell + bz * size / 32;
+            let rect = ScreenRect::new(x0, y0, (x0 + side).min(size), (y0 + side).min(size));
+            let pixels = (0..rect.area())
+                .map(|i| {
+                    let a = ((i / 7 + b as u64) % 13) as f32 / 16.0;
+                    if (i / 29) % 4 == 0 {
+                        [0.0; 4]
+                    } else {
+                        [a * 0.6, a * 0.3, a * 0.1, a]
+                    }
+                })
+                .collect();
+            (b as usize % COMPOSITE_RANKS, Fragment { block: b, rect, pixels })
+        })
+        .collect()
+}
+
+/// One compositing run: `iters` barrier-bounded calls of one algorithm
+/// on the fixed layout (the rank-0 wall time of each call is a sample),
+/// plus one clean call for the deterministic traffic counters and, for
+/// SLIC, the `work.slic.over_px` blend count.
+fn composite_run(name: &str, quick: bool, algo: &str, compress: bool) -> BaselineRun {
+    use quakeviz_composite::{binary_swap, direct_send, slic, CompositeOptions, FrameInfo};
+    use quakeviz_rt::{Comm, TrafficStats, World};
+    use std::sync::Arc;
+
+    let iters = if quick { RENDER_ITERS_QUICK } else { RENDER_ITERS };
+    let size = if quick { 128u32 } else { 256 };
+    let layout = composite_layout(size);
+    let info = FrameInfo::from_sorted(
+        layout.iter().map(|(o, f)| (f.block, f.rect, *o as u32)).collect(),
+        size,
+        size,
+    );
+    let mut run = BaselineRun::new(
+        name,
+        true,
+        &[
+            ("algorithm", algo.to_string()),
+            ("rle", compress.to_string()),
+            ("ranks", COMPOSITE_RANKS.to_string()),
+            ("image", format!("{size}x{size}")),
+            ("fragments", layout.len().to_string()),
+        ],
+    );
+    let opts = CompositeOptions { compress };
+    let call = |comm: &Comm, local: &[quakeviz_render::Fragment]| match algo {
+        "slic" => slic(comm, local, &info, 0, opts),
+        "direct" => direct_send(comm, local, &info, 0, opts),
+        _ => binary_swap(comm, local, &info, 0, opts),
+    };
+    let local_of = |rank: usize| -> Vec<quakeviz_render::Fragment> {
+        layout.iter().filter(|(o, _)| *o == rank).map(|(_, f)| f.clone()).collect()
+    };
+
+    // the counted pass: nothing but the one collective crosses the wire
+    prof::set_enabled(true);
+    prof::reset();
+    let stats = TrafficStats::new();
+    World::run_traced(COMPOSITE_RANKS, Arc::clone(&stats), |comm| {
+        call(&comm, &local_of(comm.rank()));
+    });
+    for (k, v) in prof::snapshot() {
+        if k.starts_with("slic.") {
+            run.counters.insert(format!("work.{k}"), v);
+        }
+    }
+    prof::set_enabled(false);
+    run.counters.insert("bytes.spans".into(), stats.bytes());
+    run.counters.insert("messages".into(), stats.messages());
+
+    let samples = World::run(COMPOSITE_RANKS, |comm| {
+        let local = local_of(comm.rank());
+        call(&comm, &local); // warmup / first touch
+        (0..iters)
+            .map(|_| {
+                comm.barrier();
+                let t = std::time::Instant::now();
+                call(&comm, &local);
+                comm.barrier();
+                t.elapsed().as_secs_f64()
+            })
+            .collect::<Vec<f64>>()
+    });
+    if let Some(s) = Stat::from_seconds(&samples[0]) {
+        run.stats.insert("composite_ms".into(), s);
+    }
+    run
+}
+
+/// Compositing baselines: SLIC, direct send and binary swap, with and
+/// without RLE on the exchanged spans (binary swap ships whole layers and
+/// ignores it), over one fixed overlap-heavy layout. `bytes.spans` and
+/// `work.slic.over_px` are deterministic and gate regressions; every run
+/// takes a fixed number of samples.
+pub fn run_composite_area(quick: bool) -> BenchFile {
+    let runs = vec![
+        composite_run("slic", quick, "slic", false),
+        composite_run("slic_rle", quick, "slic", true),
+        composite_run("direct", quick, "direct", false),
+        composite_run("direct_rle", quick, "direct", true),
+        composite_run("bswap", quick, "bswap", false),
+    ];
+    BenchFile { area: "composite".into(), quick, runs }
+}
+
 // ---------------------------------------------------------------------
 // comparison
 // ---------------------------------------------------------------------
@@ -1029,6 +1153,27 @@ mod tests {
         let mut other_area = sample_file(true, true, 10.0);
         other_area.area = "io".into();
         assert!(compare(&base, &other_area, 3.0).is_err());
+    }
+
+    #[test]
+    fn composite_area_emits_valid_schema() {
+        let f = run_composite_area(true);
+        let back = BenchFile::parse(&f.to_pretty()).unwrap();
+        assert_eq!(back.area, "composite");
+        assert_eq!(back.runs.len(), 5);
+        for run in &back.runs {
+            assert_eq!(run.stats["composite_ms"].n, RENDER_ITERS_QUICK as u64, "{}", run.name);
+            assert!(run.counters["bytes.spans"] > 0, "{}: no span bytes", run.name);
+            assert!(!run.budget_limited);
+        }
+        let counter = |name: &str, key: &str| {
+            back.runs.iter().find(|r| r.name == name).unwrap().counters.get(key).copied()
+        };
+        assert!(counter("slic", "work.slic.over_px").unwrap() > 0);
+        assert_eq!(counter("slic", "work.slic.over_px"), counter("slic_rle", "work.slic.over_px"));
+        assert!(counter("slic_rle", "bytes.spans") < counter("slic", "bytes.spans"));
+        assert_eq!(counter("slic_rle", "messages"), counter("slic", "messages"));
+        assert!(counter("slic", "bytes.spans") < counter("direct", "bytes.spans"));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! `BENCH_*.json` performance baselines.
 //!
 //! Usage:
-//!   bench-baseline [--quick] [--area pipeline|render|io|wire] [--out DIR]
+//!   bench-baseline [--quick] [--area pipeline|render|io|wire|composite] [--out DIR]
 //!   bench-baseline --validate FILE...
 //!
-//! With no `--area`, all four areas are emitted. `--quick` runs the
+//! With no `--area`, every area is emitted. `--quick` runs the
 //! short configurations CI uses (and that the committed baselines are
 //! generated with); full mode runs longer configurations for local
 //! trend tracking. `--out` defaults to the current directory — CI

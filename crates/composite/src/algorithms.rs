@@ -6,8 +6,8 @@
 //! frame. Identical final images across algorithms — and against the
 //! sequential reference — is the correctness contract.
 
-use crate::rle::{rle_decode, rle_encode};
-use crate::schedule::FrameInfo;
+use crate::rle::{rle_decode, rle_encode, rle_encode_rows, RleReader};
+use crate::schedule::{FrameInfo, Run};
 use quakeviz_render::image::over;
 use quakeviz_render::{Fragment, Rgba, RgbaImage};
 use quakeviz_rt::{obs, Comm};
@@ -32,17 +32,19 @@ pub struct CompositeResult {
     pub image: Option<RgbaImage>,
 }
 
-/// A pixel span annotated with its source fragment (for ordering).
+/// One fragment row shipped by direct send, annotated with its source
+/// fragment (for ordering).
 #[derive(Debug, Clone)]
 struct Span {
-    /// Index into `FrameInfo::frags`; `u32::MAX` for already-composited
-    /// output spans.
+    /// Index into `FrameInfo::frags`.
     frag: u32,
     y: u32,
     x0: u32,
     data: SpanData,
 }
 
+/// Pixels on the wire, raw or RLE-coded: one direct-send span, or a SLIC
+/// batch of spans.
 #[derive(Debug, Clone)]
 enum SpanData {
     Raw(Vec<Rgba>),
@@ -71,6 +73,72 @@ impl SpanData {
             SpanData::Rle(b) => rle_decode(&b),
         }
     }
+
+    /// Append one span, given as the rows it concatenates. Each span is
+    /// RLE-encoded on its own, so a batch of spans costs the bytes of its
+    /// spans sent one by one.
+    fn push_rows<'a>(&mut self, rows: impl IntoIterator<Item = &'a [Rgba]>) {
+        match self {
+            SpanData::Raw(p) => rows.into_iter().for_each(|r| p.extend_from_slice(r)),
+            SpanData::Rle(b) => rle_encode_rows(rows, b),
+        }
+    }
+
+    fn reader(&self) -> SpanReader<'_> {
+        match self {
+            SpanData::Raw(p) => SpanReader::Raw(p),
+            SpanData::Rle(b) => SpanReader::Rle(RleReader::new(b)),
+        }
+    }
+}
+
+/// Sequential reader over a batch of spans.
+enum SpanReader<'a> {
+    Raw(&'a [Rgba]),
+    Rle(RleReader<'a>),
+}
+
+impl SpanReader<'_> {
+    /// Composite the batch's next `dst.len()` pixels behind `dst`.
+    fn over_into(&mut self, dst: &mut [Rgba]) {
+        match self {
+            SpanReader::Raw(p) => {
+                let (head, rest) = p.split_at(dst.len());
+                over_rows(dst, head);
+                *p = rest;
+            }
+            SpanReader::Rle(r) => r.take(dst, |piece, v| {
+                for d in piece {
+                    *d = over(*d, v);
+                }
+            }),
+        }
+    }
+}
+
+/// `dst[i] = over(dst[i], src[i])`.
+#[inline]
+fn over_rows(dst: &mut [Rgba], src: &[Rgba]) {
+    debug_assert_eq!(dst.len(), src.len());
+    for (d, &p) in dst.iter_mut().zip(src) {
+        *d = over(*d, p);
+    }
+}
+
+/// The rows of a fragment under `run`, top to bottom.
+fn frag_rows<'a>(f: &'a Fragment, run: &Run) -> impl Iterator<Item = &'a [Rgba]> + 'a {
+    debug_assert!(run.y0 >= f.rect.y0 && run.y1 <= f.rect.y1);
+    debug_assert!(run.x0 >= f.rect.x0 && run.x1 <= f.rect.x1);
+    let w = f.rect.width() as usize;
+    let a = (run.x0 - f.rect.x0) as usize;
+    let b = (run.x1 - f.rect.x0) as usize;
+    (run.y0 - f.rect.y0..run.y1 - f.rect.y0).map(move |ry| &f.pixels[ry as usize * w..][a..b])
+}
+
+/// The pixels of `img` under row `y` of `run`.
+fn image_row<'a>(img: &'a mut RgbaImage, run: &Run, y: u32) -> &'a mut [Rgba] {
+    let row = (y * img.width()) as usize;
+    &mut img.pixels_mut()[row + run.x0 as usize..row + run.x1 as usize]
 }
 
 /// Sequential over-operator oracle: composite `frags` into a fresh
@@ -101,34 +169,9 @@ fn frag_span(f: &Fragment, y: u32, x0: u32, x1: u32) -> Vec<Rgba> {
     f.pixels[a..b].to_vec()
 }
 
-/// Row-major rect `[x0,x1) × [y0,y1)` out of a fragment.
-fn frag_rect(f: &Fragment, y0: u32, y1: u32, x0: u32, x1: u32) -> Vec<Rgba> {
-    let mut out = Vec::with_capacity(((y1 - y0) * (x1 - x0)) as usize);
-    for y in y0..y1 {
-        let w = f.rect.width() as usize;
-        let row = (y - f.rect.y0) as usize * w;
-        let a = row + (x0 - f.rect.x0) as usize;
-        let b = row + (x1 - f.rect.x0) as usize;
-        out.extend_from_slice(&f.pixels[a..b]);
-    }
-    out
-}
-
 fn send_batch(comm: &Comm, dst: usize, tag: u64, batch: Vec<Span>) {
     let bytes: u64 = batch.iter().map(|s| s.data.bytes()).sum();
     comm.send_with_size(dst, tag, batch, bytes);
-}
-
-/// Paint an already-composited rect run into the final image.
-fn paint_run(img: &mut RgbaImage, run: &crate::schedule::Run, pixels: &[Rgba]) {
-    debug_assert_eq!(pixels.len(), run.len());
-    let w = run.width();
-    for (ry, y) in (run.y0..run.y1).enumerate() {
-        for (rx, x) in (run.x0..run.x1).enumerate() {
-            let cur = img.get(x, y);
-            img.set(x, y, over(cur, pixels[ry * w + rx]));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -267,6 +310,12 @@ pub fn direct_send(
 /// SLIC compositing (Stompel et al. 2003): scanline runs, one compositor
 /// per overlapped run, single-fragment runs bypass compositing, all spans
 /// between a rank pair batched into one message.
+///
+/// A batch is the concatenation of its spans in schedule order with no
+/// per-span header: both ends derive the same runs from `info`, so the
+/// receiver knows which run and fragment each next span belongs to and
+/// blends it straight out of the batch. Compositors blend overlapped runs
+/// from fragment rows and received batches into one reused accumulator.
 pub fn slic(
     comm: &Comm,
     local: &[Fragment],
@@ -277,163 +326,162 @@ pub fn slic(
     let n = comm.size();
     let me = comm.rank() as u32;
     let runs = info.runs();
-    let frag_by_index: std::collections::HashMap<u32, &Fragment> = local
-        .iter()
-        .map(|f| (info.index_of(f.block).expect("fragment missing from FrameInfo") as u32, f))
-        .collect();
+    // my fragments by index into `info.frags`
+    let mut mine: Vec<Option<&Fragment>> = vec![None; info.frags.len()];
+    for f in local {
+        mine[info.index_of(f.block).expect("fragment missing from FrameInfo")] = Some(f);
+    }
+    let owner = |fi: usize| info.frags[fi].2 as usize;
 
-    // schedule-derived traffic matrix (identical on all ranks)
-    let mut comp_traffic = vec![vec![false; n]; n]; // src -> compositor
-    let mut out_traffic = vec![false; n]; // src -> collector
+    // schedule-derived traffic matrix in pixels (identical on all ranks);
+    // the compositor of a run is also the rank that ships it to the
+    // collector
+    let mut comp_px = vec![vec![0usize; n]; n]; // src -> compositor
+    let mut out_px = vec![0usize; n]; // src -> collector
     for run in &runs {
-        let comp = info.compositor_of(run);
+        let comp = info.compositor_of(run) as usize;
         if run.frags.len() > 1 {
             for &fi in &run.frags {
-                let owner = info.frags[fi].2;
-                if owner != comp {
-                    comp_traffic[owner as usize][comp as usize] = true;
+                if owner(fi) != comp {
+                    comp_px[owner(fi)][comp] += run.len();
                 }
             }
         }
-        if comp as usize != collector {
-            out_traffic[comp as usize] = true;
+        if comp != collector {
+            out_px[comp] += run.len();
         }
     }
+    let batch = |px: usize| {
+        (px > 0).then(|| {
+            if opts.compress {
+                SpanData::Rle(Vec::new())
+            } else {
+                SpanData::Raw(Vec::with_capacity(px))
+            }
+        })
+    };
 
     // phase 1: ship my spans of overlapped runs to their compositors
     let sp = obs::auto_span(obs::Phase::CompositeRound, 1);
-    let mut comp_out: Vec<Vec<Span>> = vec![Vec::new(); n];
-    for (run_id, run) in runs.iter().enumerate() {
-        if run.frags.len() < 2 {
-            continue;
-        }
-        let comp = info.compositor_of(run);
-        if comp == me {
-            continue;
-        }
+    let mut comp_out: Vec<Option<SpanData>> =
+        comp_px[me as usize].iter().map(|&px| batch(px)).collect();
+    for run in runs.iter().filter(|r| r.frags.len() > 1) {
+        let comp = info.compositor_of(run) as usize;
         for &fi in &run.frags {
-            if info.frags[fi].2 == me {
-                let f = frag_by_index[&(fi as u32)];
-                comp_out[comp as usize].push(Span {
-                    frag: run_id as u32, // carries the run id in phase 1
-                    y: fi as u32,        // and the fragment index here
-                    x0: run.x0,
-                    data: SpanData::encode(
-                        frag_rect(f, run.y0, run.y1, run.x0, run.x1),
-                        opts.compress,
-                    ),
-                });
+            if let (Some(f), Some(batch)) = (mine[fi], comp_out[comp].as_mut()) {
+                batch.push_rows(frag_rows(f, run));
             }
         }
     }
     for (dst, batch) in comp_out.into_iter().enumerate() {
-        if comp_traffic[me as usize][dst] {
-            send_batch(comm, dst, TAG_SLIC_COMP, batch);
+        if let Some(batch) = batch {
+            send_data(comm, dst, TAG_SLIC_COMP, batch);
         }
     }
-
     drop(sp);
 
     // phase 2: receive inputs for runs I composite
     let sp = obs::auto_span(obs::Phase::CompositeRound, 2);
-    let expected: usize =
-        (0..n).filter(|&src| src != me as usize && comp_traffic[src][me as usize]).count();
-    let mut inbox: std::collections::HashMap<(u32, u32), Vec<Rgba>> =
-        std::collections::HashMap::new();
-    for _ in 0..expected {
-        let (_, batch): (usize, Vec<Span>) = comm.recv_any(TAG_SLIC_COMP);
-        for s in batch {
-            inbox.insert((s.frag, s.y), s.data.decode()); // (run_id, frag_idx)
-        }
-    }
-
+    let expected = (0..n).filter(|&src| src != me as usize && comp_px[src][me as usize] > 0);
+    let inbox = recv_batches(comm, n, TAG_SLIC_COMP, expected.count());
+    let mut inputs: Vec<Option<SpanReader>> =
+        inbox.iter().map(|b| b.as_ref().map(SpanData::reader)).collect();
     drop(sp);
 
-    // phase 3: composite my runs and emit output spans to the collector
-    // (output spans are addressed by run id — the collector derives the
-    // same run list from the shared FrameInfo)
+    // phase 3: composite my runs and ship the finished pixels of every
+    // run I own the front of to the collector (or paint them, if I am it)
     let sp = obs::auto_span(obs::Phase::CompositeRound, 3);
-    let mut final_batch: Vec<Span> = Vec::new();
-    let mut local_paint: Vec<(usize, Vec<Rgba>)> = Vec::new();
+    let collecting = me as usize == collector;
+    let mut img = collecting.then(|| RgbaImage::new(info.width, info.height));
+    let mut out = if collecting { None } else { batch(out_px[me as usize]) };
+    let mut acc: Vec<Rgba> = Vec::new();
     // over-operator pixel blends performed by this rank (QUAKEVIZ_PROF
     // work metric — deterministic for a fixed fragment layout)
     let mut over_px = 0u64;
-    for (run_id, run) in runs.iter().enumerate() {
-        let comp = info.compositor_of(run);
-        if run.frags.len() == 1 {
+    for run in runs.iter().filter(|r| info.compositor_of(r) == me) {
+        let w = run.width();
+        if let [fi] = run.frags[..] {
             // singleton: owner ships straight to the collector
-            let fi = run.frags[0];
-            if info.frags[fi].2 != me {
-                continue;
-            }
-            let f = frag_by_index[&(fi as u32)];
-            let pixels = frag_rect(f, run.y0, run.y1, run.x0, run.x1);
-            if me as usize == collector {
-                local_paint.push((run_id, pixels));
-            } else {
-                final_batch.push(Span {
-                    frag: run_id as u32,
-                    y: 0,
-                    x0: 0,
-                    data: SpanData::encode(pixels, opts.compress),
-                });
+            let f = mine[fi].expect("singleton run owner lacks its fragment");
+            match (img.as_mut(), out.as_mut()) {
+                (Some(img), _) => {
+                    for (y, row) in (run.y0..run.y1).zip(frag_rows(f, run)) {
+                        over_rows(image_row(img, run, y), row);
+                    }
+                }
+                (None, Some(out)) => out.push_rows(frag_rows(f, run)),
+                (None, None) => unreachable!("shipping rank without a collector batch"),
             }
             continue;
         }
-        if comp != me {
-            continue;
-        }
-        // gather the run's spans front-to-back and composite
-        let mut acc = vec![[0.0f32; 4]; run.len()];
+        // blend the run's spans front-to-back into the accumulator
+        acc.clear();
+        acc.resize(run.len(), [0.0; 4]);
         for &fi in &run.frags {
-            let owner = info.frags[fi].2;
-            let pixels = if owner == me {
-                frag_rect(frag_by_index[&(fi as u32)], run.y0, run.y1, run.x0, run.x1)
-            } else {
-                inbox
-                    .remove(&(run_id as u32, fi as u32))
+            match mine[fi] {
+                Some(f) => {
+                    for (dst, row) in acc.chunks_exact_mut(w).zip(frag_rows(f, run)) {
+                        over_rows(dst, row);
+                    }
+                }
+                None => inputs[owner(fi)]
+                    .as_mut()
                     .expect("scheduled span missing from inbox")
-            };
-            for (a, p) in acc.iter_mut().zip(&pixels) {
-                *a = over(*a, *p);
+                    .over_into(&mut acc),
             }
             over_px += run.len() as u64;
         }
-        if me as usize == collector {
-            local_paint.push((run_id, acc));
-        } else {
-            final_batch.push(Span {
-                frag: run_id as u32,
-                y: 0,
-                x0: 0,
-                data: SpanData::encode(acc, opts.compress),
-            });
+        match (img.as_mut(), out.as_mut()) {
+            (Some(img), _) => {
+                for (y, row) in (run.y0..run.y1).zip(acc.chunks_exact(w)) {
+                    over_rows(image_row(img, run, y), row);
+                }
+            }
+            (None, Some(out)) => out.push_rows([&acc[..]]),
+            (None, None) => unreachable!("compositor without a collector batch"),
         }
     }
     quakeviz_rt::obs::prof::ticks("slic.over_px", over_px);
-    if me as usize != collector && out_traffic[me as usize] {
-        send_batch(comm, collector, TAG_SLIC_OUT, final_batch);
+    if let Some(out) = out {
+        send_data(comm, collector, TAG_SLIC_OUT, out);
     }
     drop(sp);
 
     // phase 4: collector assembles
-    if me as usize != collector {
+    let Some(mut img) = img else {
         return CompositeResult { image: None };
-    }
+    };
     let _sp = obs::auto_span(obs::Phase::CompositeRound, 4);
-    let mut img = RgbaImage::new(info.width, info.height);
-    for (run_id, pixels) in local_paint {
-        paint_run(&mut img, &runs[run_id], &pixels);
-    }
-    let senders = (0..n).filter(|&r| r != collector && out_traffic[r]).count();
-    for _ in 0..senders {
-        let (_, batch): (usize, Vec<Span>) = comm.recv_any(TAG_SLIC_OUT);
-        for s in batch {
-            let pixels = s.data.decode();
-            paint_run(&mut img, &runs[s.frag as usize], &pixels);
+    let senders = (0..n).filter(|&r| r != collector && out_px[r] > 0).count();
+    let finals = recv_batches(comm, n, TAG_SLIC_OUT, senders);
+    let mut finals: Vec<Option<SpanReader>> =
+        finals.iter().map(|b| b.as_ref().map(SpanData::reader)).collect();
+    for run in &runs {
+        let src = info.compositor_of(run) as usize;
+        if src == collector {
+            continue;
+        }
+        let reader = finals[src].as_mut().expect("scheduled run missing from collector batch");
+        for y in run.y0..run.y1 {
+            reader.over_into(image_row(&mut img, run, y));
         }
     }
     CompositeResult { image: Some(img) }
+}
+
+fn send_data(comm: &Comm, dst: usize, tag: u64, data: SpanData) {
+    let bytes = data.bytes();
+    comm.send_with_size(dst, tag, data, bytes);
+}
+
+/// Receive `count` batches on `tag`, indexed by source rank.
+fn recv_batches(comm: &Comm, n: usize, tag: u64, count: usize) -> Vec<Option<SpanData>> {
+    let mut inbox: Vec<Option<SpanData>> = (0..n).map(|_| None).collect();
+    for _ in 0..count {
+        let (src, batch): (usize, SpanData) = comm.recv_any(tag);
+        inbox[src] = Some(batch);
+    }
+    inbox
 }
 
 // ---------------------------------------------------------------------

@@ -15,23 +15,75 @@ use quakeviz_render::Rgba;
 /// 16 B/pixel to 20 B/pixel.
 pub fn rle_encode(pixels: &[Rgba]) -> Vec<u8> {
     let mut out = Vec::with_capacity(pixels.len() / 2 * 20 + 20);
-    let mut i = 0;
-    while i < pixels.len() {
-        let v = pixels[i];
-        let mut count = 1u32;
-        while i + (count as usize) < pixels.len()
-            && pixels[i + count as usize] == v
-            && count < u32::MAX
-        {
-            count += 1;
-        }
+    rle_encode_rows([pixels], &mut out);
+    out
+}
+
+/// Append the encoding of the concatenation of `rows` to `out`: the bytes
+/// [`rle_encode`] gives for the rows copied into one span, without the
+/// copy (runs continue across row boundaries).
+pub(crate) fn rle_encode_rows<'a>(rows: impl IntoIterator<Item = &'a [Rgba]>, out: &mut Vec<u8>) {
+    let mut run: Option<(Rgba, u32)> = None;
+    let flush = |v: Rgba, count: u32, out: &mut Vec<u8>| {
         out.extend_from_slice(&count.to_le_bytes());
         for c in v {
             out.extend_from_slice(&c.to_le_bytes());
         }
-        i += count as usize;
+    };
+    for row in rows {
+        for &p in row {
+            run = match run {
+                Some((v, count)) if p == v && count < u32::MAX => Some((v, count + 1)),
+                Some((v, count)) => {
+                    flush(v, count, out);
+                    Some((p, 1))
+                }
+                None => Some((p, 1)),
+            };
+        }
     }
-    out
+    if let Some((v, count)) = run {
+        flush(v, count, out);
+    }
+}
+
+/// Sequential reader over a concatenation of RLE streams: hands out the
+/// next `n` pixels as constant pieces, so a consumer can blend straight
+/// from the records without decoding a span first.
+#[derive(Debug)]
+pub(crate) struct RleReader<'a> {
+    bytes: &'a [u8],
+    value: Rgba,
+    left: usize,
+}
+
+impl<'a> RleReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> RleReader<'a> {
+        assert_eq!(bytes.len() % 20, 0, "corrupt RLE stream");
+        RleReader { bytes, value: [0.0; 4], left: 0 }
+    }
+
+    /// Feed the next `dst.len()` pixels to `f(dst_piece, value)`, one call
+    /// per constant piece.
+    pub(crate) fn take(&mut self, mut dst: &mut [Rgba], mut f: impl FnMut(&mut [Rgba], Rgba)) {
+        while !dst.is_empty() {
+            if self.left == 0 {
+                let (rec, rest) = self.bytes.split_at(20);
+                self.bytes = rest;
+                self.left = u32::from_le_bytes(rec[0..4].try_into().unwrap()) as usize;
+                for (c, slot) in self.value.iter_mut().enumerate() {
+                    let o = 4 + c * 4;
+                    *slot = f32::from_le_bytes(rec[o..o + 4].try_into().unwrap());
+                }
+                continue;
+            }
+            let n = self.left.min(dst.len());
+            let (piece, rest) = std::mem::take(&mut dst).split_at_mut(n);
+            f(piece, self.value);
+            self.left -= n;
+            dst = rest;
+        }
+    }
 }
 
 /// Decode an RLE span (inverse of [`rle_encode`]).

@@ -18,6 +18,7 @@
 
 use quakeviz_render::{Fragment, ScreenRect};
 use quakeviz_rt::Comm;
+use std::collections::HashMap;
 
 /// Globally shared description of one frame's fragments.
 #[derive(Debug, Clone)]
@@ -27,6 +28,8 @@ pub struct FrameInfo {
     pub frags: Vec<(u32, ScreenRect, u32)>,
     pub width: u32,
     pub height: u32,
+    /// Block id → index into `frags`, built with it.
+    index: HashMap<u32, usize>,
 }
 
 /// An elementary rectangular run: a screen rect over which the set of
@@ -84,56 +87,30 @@ impl FrameInfo {
         let pos: std::collections::HashMap<u32, usize> =
             order.iter().enumerate().map(|(i, &b)| (b, i)).collect();
         frags.sort_by_key(|&(b, _, _)| pos.get(&b).copied().unwrap_or(usize::MAX));
-        FrameInfo { frags, width, height }
+        FrameInfo::from_sorted(frags, width, height)
     }
 
     /// Build directly (tests, sequential harnesses).
     pub fn from_sorted(frags: Vec<(u32, ScreenRect, u32)>, width: u32, height: u32) -> FrameInfo {
-        FrameInfo { frags, width, height }
+        // first occurrence wins, as a front-to-back scan would find it
+        let mut index = HashMap::with_capacity(frags.len());
+        for (i, &(b, _, _)) in frags.iter().enumerate() {
+            index.entry(b).or_insert(i);
+        }
+        FrameInfo { frags, width, height, index }
     }
 
     /// Index of the fragment with block id `b`.
     pub fn index_of(&self, b: u32) -> Option<usize> {
-        self.frags.iter().position(|&(fb, _, _)| fb == b)
+        self.index.get(&b).copied()
     }
 
     /// The elementary runs of scanline `y` (non-covered spans omitted),
     /// each one line tall.
     pub fn runs_of_line(&self, y: u32) -> Vec<Run> {
-        // fragments covering this scanline
-        let live: Vec<usize> = self
-            .frags
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, r, _))| y >= r.y0 && y < r.y1)
-            .map(|(i, _)| i)
-            .collect();
-        if live.is_empty() {
-            return Vec::new();
-        }
-        let mut xs: Vec<u32> =
-            live.iter().flat_map(|&i| [self.frags[i].1.x0, self.frags[i].1.x1]).collect();
-        xs.sort_unstable();
-        xs.dedup();
-        let mut runs = Vec::new();
-        for w in xs.windows(2) {
-            let (x0, x1) = (w[0], w[1]);
-            if x1 <= x0 {
-                continue;
-            }
-            let cover: Vec<usize> = live
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let r = &self.frags[i].1;
-                    x0 >= r.x0 && x1 <= r.x1
-                })
-                .collect();
-            if !cover.is_empty() {
-                runs.push(Run { y0: y, y1: y + 1, x0, x1, frags: cover });
-            }
-        }
-        runs
+        let mut out = Vec::new();
+        self.sweep_band(y, y + 1, &self.x_edges(), &mut out);
+        out
     }
 
     /// All runs of the frame, vertically merged: consecutive scanlines
@@ -145,18 +122,50 @@ impl FrameInfo {
         ys.push(self.height);
         ys.sort_unstable();
         ys.dedup();
+        let edges = self.x_edges();
         let mut out = Vec::new();
         for w in ys.windows(2) {
             let (y0, y1) = (w[0], w[1].min(self.height));
-            if y1 <= y0 {
-                continue;
-            }
-            for mut run in self.runs_of_line(y0) {
-                run.y1 = y1;
-                out.push(run);
+            if y1 > y0 {
+                self.sweep_band(y0, y1, &edges, &mut out);
             }
         }
         out
+    }
+
+    /// Every fragment's left and right edge as `(x, closes, fragment)`,
+    /// sorted: each is a run boundary, and opens sort before closes so a
+    /// zero-width fragment enters and leaves at once.
+    fn x_edges(&self) -> Vec<(u32, bool, usize)> {
+        let mut edges: Vec<(u32, bool, usize)> = (0..self.frags.len())
+            .flat_map(|i| [(self.frags[i].1.x0, false, i), (self.frags[i].1.x1, true, i)])
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    /// Append the runs of the band `[y0, y1)`, whose lines all share the
+    /// coverage of line `y0`: one left-to-right sweep over the edges of
+    /// the fragments covering it, keeping the active set in front-to-back
+    /// order.
+    fn sweep_band(&self, y0: u32, y1: u32, edges: &[(u32, bool, usize)], out: &mut Vec<Run>) {
+        let covers = |i: usize| y0 >= self.frags[i].1.y0 && y0 < self.frags[i].1.y1;
+        let mut band = edges.iter().copied().filter(|&(_, _, i)| covers(i)).peekable();
+        let mut active: Vec<usize> = Vec::new();
+        while let Some(&(x, _, _)) = band.peek() {
+            while let Some((_, closes, i)) = band.next_if(|e| e.0 == x) {
+                match active.binary_search(&i) {
+                    Ok(at) if closes => {
+                        active.remove(at);
+                    }
+                    Err(at) if !closes => active.insert(at, i),
+                    _ => unreachable!("fragment edges out of order"),
+                }
+            }
+            if let (false, Some(&(x1, _, _))) = (active.is_empty(), band.peek()) {
+                out.push(Run { y0, y1, x0: x, x1, frags: active.clone() });
+            }
+        }
     }
 
     /// The compositor rank of a run: owner of its front-most fragment.
@@ -181,30 +190,33 @@ impl FrameInfo {
                 live.iter().position(|&l| l == owner).map(|i| (b, r, i as u32))
             })
             .collect();
-        FrameInfo { frags, width: self.width, height: self.height }
+        FrameInfo::from_sorted(frags, self.width, self.height)
     }
 
-    /// Predicted message count for SLIC with `collector`: the number of
-    /// distinct (source → destination) pairs with traffic.
+    /// Predicted message count for SLIC with `collector`: one message per
+    /// (source → compositor) pair with overlapped-run traffic, plus one per
+    /// (source → collector) pair shipping finished runs. A pair carrying
+    /// both kinds sends two messages: the compositing round's spans must
+    /// arrive before the finished runs they feed exist.
     pub fn slic_message_count(&self, ranks: usize, collector: u32) -> u64 {
-        let mut pairs = std::collections::HashSet::new();
+        let mut composite = std::collections::HashSet::new();
+        let mut finished = std::collections::HashSet::new();
         for run in self.runs() {
             let comp = self.compositor_of(&run);
             if run.frags.len() > 1 {
                 for &fi in &run.frags {
                     let owner = self.frags[fi].2;
                     if owner != comp {
-                        pairs.insert((owner, comp));
+                        composite.insert((owner, comp));
                     }
                 }
             }
-            let src = comp;
-            if src != collector {
-                pairs.insert((src, collector));
+            if comp != collector {
+                finished.insert(comp);
             }
         }
         let _ = ranks;
-        pairs.len() as u64
+        (composite.len() + finished.len()) as u64
     }
 }
 
@@ -292,6 +304,64 @@ mod tests {
         assert_eq!(f.slic_message_count(2, 0), 1);
         // with collector 1 instead: rank1->rank0 and rank0->rank1
         assert_eq!(f.slic_message_count(2, 1), 2);
+        // rank1 also ships a run of its own to collector 0: the pair
+        // carries two messages, one per round
+        let f = fi(vec![
+            (0, ScreenRect::new(0, 0, 8, 1), 0),
+            (1, ScreenRect::new(0, 0, 8, 1), 1),
+            (2, ScreenRect::new(0, 2, 8, 3), 1),
+        ]);
+        assert_eq!(f.slic_message_count(2, 0), 2);
+    }
+
+    /// The runs of line `y` by filtering coverage per x-window between
+    /// consecutive fragment edges — the definition the sweep implements.
+    fn runs_of_line_by_windows(f: &FrameInfo, y: u32) -> Vec<Run> {
+        let live: Vec<usize> =
+            (0..f.frags.len()).filter(|&i| y >= f.frags[i].1.y0 && y < f.frags[i].1.y1).collect();
+        let mut xs: Vec<u32> =
+            live.iter().flat_map(|&i| [f.frags[i].1.x0, f.frags[i].1.x1]).collect();
+        xs.sort_unstable();
+        xs.dedup();
+        xs.windows(2)
+            .filter_map(|w| {
+                let cover: Vec<usize> = live
+                    .iter()
+                    .copied()
+                    .filter(|&i| w[0] >= f.frags[i].1.x0 && w[1] <= f.frags[i].1.x1)
+                    .collect();
+                (!cover.is_empty()).then(|| Run {
+                    y0: y,
+                    y1: y + 1,
+                    x0: w[0],
+                    x1: w[1],
+                    frags: cover,
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sweep_matches_per_window_coverage() {
+        let mut s = 0x5EEDu64;
+        let mut next = |bound: u32| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((s >> 33) % bound as u64) as u32
+        };
+        for _ in 0..200 {
+            let frags: Vec<(u32, ScreenRect, u32)> = (0..next(9))
+                .map(|b| {
+                    // zero-width, sliver, abutting and overlapping rects
+                    let (x0, y0) = (next(16), next(4));
+                    let rect = ScreenRect::new(x0, y0, x0 + next(9), y0 + 1 + next(3));
+                    (b, rect, next(3))
+                })
+                .collect();
+            let f = fi(frags);
+            for y in 0..4 {
+                assert_eq!(f.runs_of_line(y), runs_of_line_by_windows(&f, y), "{:?}", f.frags);
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::reader::{
     self, block_level_nodes, level_node_ids, member_node_range, FaultCtx, FetchPlan, ReadStats,
 };
 use quakeviz_composite::{slic, CompositeOptions, FrameInfo};
-use quakeviz_lic::{colorize, compute_lic, extract_surface_field, white_noise, LicParams};
+use quakeviz_lic::{colorize, compute_lic, white_noise, LicParams, SurfaceStencil};
 use quakeviz_mesh::{
     Aabb, HexMesh, NodeField, NodeId, OctreeBlock, Partition, Quadtree, WorkloadModel,
 };
@@ -39,7 +39,7 @@ use quakeviz_rt::{
 };
 use quakeviz_seismic::Dataset;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 const TAG_DATA: u64 = 0x2000_0000_0000;
@@ -621,6 +621,17 @@ impl PipelineReport {
     }
 }
 
+/// The LIC overlay's static inputs. The resampling stencil is built on
+/// the first overlay step rather than in setup: it costs about as much as
+/// setup itself at 128², and only the step's LIC lead needs it.
+struct Surface {
+    quadtree: Quadtree,
+    /// Surface node ids, the overlay's read set.
+    ids: Vec<NodeId>,
+    noise: Vec<f32>,
+    stencil: OnceLock<SurfaceStencil>,
+}
+
 /// Everything precomputed once and shared read-only by all ranks — the
 /// paper's one-time octree/partition setup.
 struct Shared {
@@ -640,7 +651,7 @@ struct Shared {
     /// Node ids of the whole mesh at the fetch level (adaptive fetch).
     level_ids: Option<Arc<Vec<NodeId>>>,
     /// Surface structures for LIC.
-    surface: Option<(Arc<Quadtree>, Arc<Vec<NodeId>>, Arc<Vec<f32>>)>,
+    surface: Option<Surface>,
     n_inputs: usize,
     n_renderers: usize,
     opacity_unit: f64,
@@ -1301,9 +1312,9 @@ pub fn run_pipeline(dataset: &Dataset, config: PipelineConfig) -> Result<Pipelin
         blocks.iter().map(|b| Arc::new(block_level_nodes(&mesh, b, fetch_level))).collect();
     let level_ids = config.adaptive_fetch.then(|| Arc::new(level_node_ids(&mesh, level)));
     let surface = config.lic.then(|| {
-        let (qt, ids) = Quadtree::from_surface_nodes(&mesh);
+        let (quadtree, ids) = Quadtree::from_surface_nodes(&mesh);
         let noise = white_noise(config.width, config.height, 0x5eed);
-        (Arc::new(qt), Arc::new(ids), Arc::new(noise))
+        Surface { quadtree, ids, noise, stencil: OnceLock::new() }
     });
 
     let faults = resolve_faults(&config, n_inputs, steps).map_err(|e| e.to_string())?;
@@ -2132,7 +2143,7 @@ fn corrupt_one_bit(batch: &mut BlockBatch, seed: u64) {
 /// input processor. The surface read stays inside the Lic span (in detail
 /// sessions the nested IoRead auto span shows it).
 fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
-    let Some((qt, surf_ids, noise)) = &s.surface else {
+    let Some(surface) = &s.surface else {
         return;
     };
     // the overlay goes to whichever rank assembles this step's frame —
@@ -2144,7 +2155,7 @@ fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
     // degrades to a transparent image and the frame is flagged
     let ctx = s.fault_ctx(t);
     let (img, missing) =
-        match reader::read_step_ids(&s.disk, &s.mesh, t, surf_ids, 1 << 16, ctx.as_ref()) {
+        match reader::read_step_ids(&s.disk, &s.mesh, t, &surface.ids, 1 << 16, ctx.as_ref()) {
             Err(_) => (RgbaImage::new(s.cfg.width, s.cfg.height), true),
             Ok((surf_dense, surf_stats)) => {
                 read.accumulate(&surf_stats);
@@ -2155,11 +2166,14 @@ fn lic_step(comm: &Comm, s: &Shared, t: usize, read: &mut ReadStats) {
                     }
                 }
                 let field = quakeviz_mesh::VectorField::new(surf_dense);
-                let reg = extract_surface_field(&s.mesh, &field, qt, s.cfg.width, s.cfg.height);
+                let stencil = surface.stencil.get_or_init(|| {
+                    SurfaceStencil::build(&s.mesh, &surface.quadtree, s.cfg.width, s.cfg.height)
+                });
+                let reg = stencil.apply(&field);
                 let phase = (t as f64 * 0.08) % 1.0;
                 let gray = compute_lic(
                     &reg,
-                    noise,
+                    &surface.noise,
                     &LicParams { phase: Some(phase), ..Default::default() },
                 );
                 // normalize by the surface maximum (surface motion is far

@@ -7,13 +7,16 @@
 //! and scientists care about the surface motion. Per frame:
 //!
 //! 1. the 2D horizontal velocity field on the surface is **extracted**
-//!    from the 3D node data ([`field2d::extract_surface_field`]) — the
-//!    irregular surface points are organized by the static quadtree
-//!    built once at startup, and resampled onto a regular grid whose
-//!    resolution follows the image size and adaptive level;
+//!    from the 3D node data — the irregular surface points are organized
+//!    by the static quadtree built once at startup, and resampled onto a
+//!    regular grid whose resolution follows the image size and adaptive
+//!    level. The mesh never changes, so the quadtree is queried once per
+//!    pixel to build a [`field2d::SurfaceStencil`] (node ids and
+//!    inverse-distance weights); each step is one sparse pass over it;
 //! 2. [`lic::compute_lic`] convolves a white [`noise`] texture along
-//!    streamlines of that field (Cabral & Leedom), yielding the streaky
-//!    gray texture; a periodic phase shift animates the flow direction;
+//!    streamlines of that field (Cabral & Leedom), integrated in f32
+//!    pixel coordinates, yielding the streaky gray texture; a periodic
+//!    phase shift animates the flow direction;
 //! 3. the texture is colorized by velocity magnitude and handed to the
 //!    output processors, which composite it with the volume rendering.
 //!
@@ -26,6 +29,6 @@ pub mod field2d;
 pub mod lic;
 pub mod noise;
 
-pub use field2d::{extract_surface_field, RegularField2D};
+pub use field2d::{extract_surface_field, RegularField2D, SurfaceStencil};
 pub use lic::{colorize, compute_lic, LicParams};
 pub use noise::white_noise;

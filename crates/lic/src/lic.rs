@@ -34,13 +34,16 @@ impl Default for LicParams {
 /// Compute the LIC gray texture of `field` over `noise` (a
 /// `width × height` grid matching the field's grid). Returns per-pixel
 /// gray values in `[0, 1]`.
+///
+/// Streamlines are integrated in f32 pixel coordinates: positions,
+/// midpoint (RK2) steps, bounds tests and the convolution sum. The start
+/// sample at the pixel centre is fetched once and serves both the
+/// stagnation test and the first step of each direction.
 pub fn compute_lic(field: &RegularField2D, noise: &[f32], params: &LicParams) -> Vec<f32> {
     let (w, h) = (field.width as usize, field.height as usize);
     assert_eq!(noise.len(), w * h, "noise texture size mismatch");
-    let max_mag = field.max_magnitude();
-    let floor = max_mag * params.stagnation_eps;
-
-    let kernel: Vec<f64> = (0..=2 * params.kernel_half)
+    let floor = field.max_magnitude() * params.stagnation_eps;
+    let kernel: Vec<f32> = (0..=2 * params.kernel_half)
         .map(|i| {
             let t = i as f64 / (2 * params.kernel_half) as f64; // 0..1
             match params.phase {
@@ -48,64 +51,69 @@ pub fn compute_lic(field: &RegularField2D, noise: &[f32], params: &LicParams) ->
                 Some(phase) => {
                     // periodic Hanning window sliding with phase
                     let u = (t - phase).rem_euclid(1.0);
-                    0.5 * (1.0 - (2.0 * std::f64::consts::PI * u).cos())
+                    (0.5 * (1.0 - (2.0 * std::f64::consts::PI * u).cos())) as f32
                 }
             }
         })
         .collect();
+    let half = params.kernel_half;
+    let step = params.step_px as f32;
+    let (wf, hf) = (w as f32, h as f32);
+    let noise_at = |x: f32, y: f32| {
+        noise[(y as i32).min(h as i32 - 1) as usize * w + (x as i32).min(w as i32 - 1) as usize]
+    };
 
     // streamline step count is deterministic for a fixed field; under
     // QUAKEVIZ_PROF it feeds the bench baseline as a work metric
     let prof_on = prof::enabled();
     let steps = AtomicU64::new(0);
     let gray = par_map(w * h, |idx| {
-        let x0 = (idx % w) as f64 + 0.5;
-        let y0 = (idx / w) as f64 + 0.5;
-        let (vx, vy) = field.sample_px(x0, y0);
-        if (vx * vx + vy * vy).sqrt() <= floor {
+        let x0 = (idx % w) as f32 + 0.5;
+        let y0 = (idx / w) as f32 + 0.5;
+        let v0 = field.sample_px(x0, y0);
+        let m0 = (v0.0 * v0.0 + v0.1 * v0.1).sqrt();
+        if m0 <= floor {
             return noise[idx];
         }
         let mut nsteps = 0u64;
-        let sample_noise = |x: f64, y: f64| -> f64 {
-            let i = (x as usize).min(w - 1);
-            let j = (y as usize).min(h - 1);
-            noise[j * w + i] as f64
-        };
-        let mut acc = kernel[params.kernel_half] * sample_noise(x0, y0);
-        let mut wsum = kernel[params.kernel_half];
-        // trace both directions
-        for dir in [1.0f64, -1.0] {
+        let mut acc = kernel[half] * noise[idx];
+        let mut wsum = kernel[half];
+        for dir in [1.0f32, -1.0] {
             let (mut x, mut y) = (x0, y0);
-            for s in 1..=params.kernel_half {
+            for s in 1..=half {
                 nsteps += 1;
                 // RK2 midpoint step
-                let (vx, vy) = field.sample_px(x, y);
-                let m = ((vx * vx + vy * vy) as f64).sqrt();
-                if m <= floor as f64 {
+                let (v, m) = if s > 1 {
+                    let v = field.sample_px(x, y);
+                    (v, (v.0 * v.0 + v.1 * v.1).sqrt())
+                } else {
+                    (v0, m0)
+                };
+                if m <= floor {
                     break;
                 }
-                let hx = x + dir * params.step_px * 0.5 * vx as f64 / m;
-                let hy = y + dir * params.step_px * 0.5 * vy as f64 / m;
-                let (wx, wy) = field.sample_px(hx, hy);
-                let wm = ((wx * wx + wy * wy) as f64).sqrt();
-                if wm <= floor as f64 {
+                let k = dir * step * 0.5 / m;
+                let mid = field.sample_px(x + k * v.0, y + k * v.1);
+                let mm = (mid.0 * mid.0 + mid.1 * mid.1).sqrt();
+                if mm <= floor {
                     break;
                 }
-                x += dir * params.step_px * wx as f64 / wm;
-                y += dir * params.step_px * wy as f64 / wm;
-                if x < 0.0 || y < 0.0 || x >= w as f64 || y >= h as f64 {
+                let k = dir * step / mm;
+                x += k * mid.0;
+                y += k * mid.1;
+                if x < 0.0 || y < 0.0 || x >= wf || y >= hf {
                     break;
                 }
-                let ki = if dir > 0.0 { params.kernel_half + s } else { params.kernel_half - s };
-                acc += kernel[ki] * sample_noise(x, y);
-                wsum += kernel[ki];
+                let kw = kernel[if dir > 0.0 { half + s } else { half - s }];
+                acc += kw * noise_at(x, y);
+                wsum += kw;
             }
         }
         if prof_on {
             steps.fetch_add(nsteps, Ordering::Relaxed);
         }
         if wsum > 0.0 {
-            (acc / wsum) as f32
+            acc / wsum
         } else {
             noise[idx]
         }
@@ -237,6 +245,101 @@ mod tests {
         let a2 = f(0.0);
         assert_eq!(a, a2, "deterministic per phase");
         assert_ne!(a, b, "different phases give different frames");
+    }
+
+    /// The f64 streamline integration the f32 kernel replaced: f64
+    /// positions and bounds, f64 kernel and convolution sum.
+    fn compute_lic_f64(field: &RegularField2D, noise: &[f32], params: &LicParams) -> Vec<f32> {
+        let (w, h) = (field.width as usize, field.height as usize);
+        let floor = field.max_magnitude() * params.stagnation_eps;
+        let sample = |px: f64, py: f64| -> (f32, f32) {
+            let fx = (px - 0.5).clamp(0.0, (w - 1) as f64);
+            let fy = (py - 0.5).clamp(0.0, (h - 1) as f64);
+            let (i0, j0) = (fx as usize, fy as usize);
+            let (i1, j1) = ((i0 + 1).min(w - 1), (j0 + 1).min(h - 1));
+            let (u, v) = ((fx - i0 as f64) as f32, (fy - j0 as f64) as f32);
+            let g = |i: usize, j: usize| field.vectors()[j * w + i];
+            let lerp2 = |a: (f32, f32), b: (f32, f32), t: f32| {
+                (a.0 + (b.0 - a.0) * t, a.1 + (b.1 - a.1) * t)
+            };
+            lerp2(lerp2(g(i0, j0), g(i1, j0), u), lerp2(g(i0, j1), g(i1, j1), u), v)
+        };
+        let kernel: Vec<f64> = (0..=2 * params.kernel_half)
+            .map(|i| {
+                let t = i as f64 / (2 * params.kernel_half) as f64;
+                match params.phase {
+                    None => 1.0,
+                    Some(phase) => {
+                        let u = (t - phase).rem_euclid(1.0);
+                        0.5 * (1.0 - (2.0 * std::f64::consts::PI * u).cos())
+                    }
+                }
+            })
+            .collect();
+        let noise_at =
+            |x: f64, y: f64| noise[(y as usize).min(h - 1) * w + (x as usize).min(w - 1)] as f64;
+        (0..w * h)
+            .map(|idx| {
+                let x0 = (idx % w) as f64 + 0.5;
+                let y0 = (idx / w) as f64 + 0.5;
+                let (vx, vy) = sample(x0, y0);
+                if (vx * vx + vy * vy).sqrt() <= floor {
+                    return noise[idx];
+                }
+                let mut acc = kernel[params.kernel_half] * noise_at(x0, y0);
+                let mut wsum = kernel[params.kernel_half];
+                for dir in [1.0f64, -1.0] {
+                    let (mut x, mut y) = (x0, y0);
+                    for s in 1..=params.kernel_half {
+                        let (vx, vy) = sample(x, y);
+                        let m = ((vx * vx + vy * vy) as f64).sqrt();
+                        if m <= floor as f64 {
+                            break;
+                        }
+                        let hx = x + dir * params.step_px * 0.5 * vx as f64 / m;
+                        let hy = y + dir * params.step_px * 0.5 * vy as f64 / m;
+                        let (wx, wy) = sample(hx, hy);
+                        let wm = ((wx * wx + wy * wy) as f64).sqrt();
+                        if wm <= floor as f64 {
+                            break;
+                        }
+                        x += dir * params.step_px * wx as f64 / wm;
+                        y += dir * params.step_px * wy as f64 / wm;
+                        if x < 0.0 || y < 0.0 || x >= w as f64 || y >= h as f64 {
+                            break;
+                        }
+                        let ki =
+                            if dir > 0.0 { params.kernel_half + s } else { params.kernel_half - s };
+                        acc += kernel[ki] * noise_at(x, y);
+                        wsum += kernel[ki];
+                    }
+                }
+                if wsum > 0.0 {
+                    (acc / wsum) as f32
+                } else {
+                    noise[idx]
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn f32_integration_tracks_the_f64_reference() {
+        let w = 96u32;
+        // vortex with a stagnant core, so streamlines curve and some stop
+        let field = RegularField2D::from_fn(w, w, (1.0, 1.0), |x, y| {
+            let (dx, dy) = (x - 0.5, y - 0.5);
+            (-dy as f32, dx as f32)
+        });
+        let noise = white_noise(w, w, 11);
+        for phase in [0.0, 0.24, 0.56, 0.88] {
+            let params = LicParams { phase: Some(phase), ..Default::default() };
+            let got = compute_lic(&field, &noise, &params);
+            let want = compute_lic_f64(&field, &noise, &params);
+            let mean = got.iter().zip(&want).map(|(a, b)| (a - b).abs() as f64).sum::<f64>()
+                / got.len() as f64;
+            assert!(mean <= 1e-3, "phase {phase}: mean |gray delta| {mean} vs the f64 reference");
+        }
     }
 
     #[test]

@@ -69,8 +69,9 @@ run_bench_smoke() {
         out/bench-smoke/BENCH_pipeline.json \
         out/bench-smoke/BENCH_render.json \
         out/bench-smoke/BENCH_io.json \
-        out/bench-smoke/BENCH_wire.json
-    for area in pipeline render io wire; do
+        out/bench-smoke/BENCH_wire.json \
+        out/bench-smoke/BENCH_composite.json
+    for area in pipeline render io wire composite; do
         echo "==> bench compare (${area})"
         target/release/pipeline-report --compare \
             "BENCH_${area}.json" "out/bench-smoke/BENCH_${area}.json" --tolerance 3.0

@@ -252,6 +252,106 @@ fn slic_over_surviving_subsets_matches_sequential_reference() {
     }
 }
 
+/// A random panel for the schedule property below: `n` ranks, each with
+/// 0..=3 fragments (so some ranks are empty), mixing large overlapping
+/// rects with 1×N and N×1 slivers, in a random visibility order.
+fn random_panel(rng: &mut SplitMix64, n: usize) -> (Vec<(u32, Fragment)>, Vec<u32>) {
+    let mut all = Vec::new();
+    let mut block = 0u32;
+    for owner in 0..n as u32 {
+        for _ in 0..rng.next_below(4) {
+            let mut f = random_fragment(rng, block);
+            match rng.next_below(4) {
+                0 => f.rect = ScreenRect::new(f.rect.x0, f.rect.y0, f.rect.x0 + 1, f.rect.y1),
+                1 => f.rect = ScreenRect::new(f.rect.x0, f.rect.y0, f.rect.x1, f.rect.y0 + 1),
+                _ => {}
+            }
+            f.pixels.truncate(f.rect.area() as usize);
+            all.push((owner, f));
+            block += 1;
+        }
+    }
+    // Fisher-Yates over the block ids: the visibility order
+    let mut order: Vec<u32> = (0..block).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    (all, order)
+}
+
+/// SLIC over random layouts of 1..=5 ranks, for every collector and with
+/// RLE on and off: the frame is bit-identical to the sequential
+/// over-operator reference, the message count is the schedule's
+/// `slic_message_count`, and raw runs ship exactly the schedule's span
+/// bytes (every non-compositor fragment of an overlapped run to its
+/// compositor, every run not composited at the collector to it).
+#[test]
+fn slic_is_bit_identical_and_sends_the_scheduled_messages() {
+    use quakeviz::composite::sequential_reference;
+    use quakeviz::rt::TrafficStats;
+    for trial in 0..40u64 {
+        let n = 1 + (trial % 5) as usize;
+        let seed = 0x511C ^ (trial << 12);
+        let (all, order) = random_panel(&mut SplitMix64::new(seed), n);
+        // front to back, as FrameInfo::exchange would sort it
+        let frags: Vec<(u32, ScreenRect, u32)> = order
+            .iter()
+            .map(|&b| {
+                let (owner, f) = all.iter().find(|(_, f)| f.block == b).unwrap();
+                (b, f.rect, *owner)
+            })
+            .collect();
+        let info = FrameInfo::from_sorted(frags, W, H);
+        let plain: Vec<Fragment> = all.iter().map(|(_, f)| f.clone()).collect();
+        let want = sequential_reference(&plain, &order, W, H);
+        for collector in 0..n {
+            let mut raw_bytes = 0u64;
+            for run in info.runs() {
+                let comp = info.compositor_of(&run);
+                if run.frags.len() > 1 {
+                    let sent = run.frags.iter().filter(|&&fi| info.frags[fi].2 != comp).count();
+                    raw_bytes += sent as u64 * run.len() as u64 * 16;
+                }
+                if comp as usize != collector {
+                    raw_bytes += run.len() as u64 * 16;
+                }
+            }
+            for compress in [false, true] {
+                let stats = TrafficStats::new();
+                let (all, info) = (&all, &info);
+                let images = World::run_traced(n, std::sync::Arc::clone(&stats), move |comm| {
+                    let local: Vec<Fragment> = all
+                        .iter()
+                        .filter(|(o, _)| *o as usize == comm.rank())
+                        .map(|(_, f)| f.clone())
+                        .collect();
+                    slic(&comm, &local, info, collector, CompositeOptions { compress }).image
+                });
+                let ctx = format!("trial {trial} n={n} collector={collector} compress={compress}");
+                for (rank, img) in images.iter().enumerate() {
+                    assert_eq!(img.is_some(), rank == collector, "{ctx}: image at rank {rank}");
+                }
+                let img = images[collector].as_ref().unwrap();
+                for (i, (a, b)) in img.pixels().iter().zip(want.pixels()).enumerate() {
+                    assert_eq!(
+                        a.map(f32::to_bits),
+                        b.map(f32::to_bits),
+                        "{ctx}: pixel {i} not bit-identical"
+                    );
+                }
+                assert_eq!(
+                    stats.messages(),
+                    info.slic_message_count(n, collector as u32),
+                    "{ctx}: message count"
+                );
+                if !compress {
+                    assert_eq!(stats.bytes(), raw_bytes, "{ctx}: raw span bytes");
+                }
+            }
+        }
+    }
+}
+
 // --- Octree block decomposition -----------------------------------------
 
 /// Deterministic pseudo-random refinement: split based on a hash of the
